@@ -23,6 +23,15 @@
 // run — same completion time and no difference on any recorded signal.
 // Any divergence is a pruning unsoundness and fails the audit.
 //
+// With -mode fork the tool audits the permeability campaign's
+// checkpoint-and-fork execution on every registered target (or the
+// -target list) in-process: for -per-class seeded runs per test case it
+// runs the production run — forked from the golden run's checkpoint and
+// stopped as soon as its verdict is fixed — and the same run simulated
+// from power-on to the golden horizon with no early exit, and requires
+// identical outcomes. Any mismatch is an unsound fork or exit and fails
+// the audit.
+//
 // With -mode trace the tool analyzes the NDJSON event log written by a
 // campaign's -events-out flag: it reconstructs the merged span trees
 // (including worker-side spans folded in over the dispatch protocols),
@@ -49,6 +58,7 @@
 //
 //	adaptcheck -exact exact.json -adaptive adaptive.json [-bench BENCH_adaptive.json] [-z 1.96]
 //	adaptcheck -mode liveness [-target tank,multiout] [-per-class 8]
+//	adaptcheck -mode fork [-target arrestment,tank] [-per-class 8]
 //	adaptcheck -mode analytic [-bench BENCH_analytic.json]
 //	adaptcheck -mode trace -events events.ndjson [-flame-out stacks.folded] [-top 5]
 package main
@@ -59,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/analytic"
@@ -128,15 +139,16 @@ func edgeKey(e sampleEdge) string {
 
 func run() error {
 	mode := flag.String("mode", "samples",
-		"what to check: samples (adaptive vs exact campaign), liveness (pruning soundness per target), analytic (solver equivalence and speed) or trace (campaign event-log analysis)")
+		"what to check: samples (adaptive vs exact campaign), liveness (pruning soundness per target), fork (checkpoint-and-fork soundness per target), analytic (solver equivalence and speed) or trace (campaign event-log analysis)")
 	exactPath := flag.String("exact", "", "samples JSON from the exact campaign")
 	adaptivePath := flag.String("adaptive", "", "samples JSON from the adaptive campaign")
 	benchPath := flag.String("bench", "", "adaptive BENCH_campaigns.json to audit (optional)")
 	z := flag.Float64("z", 1.96, "Wilson interval critical value")
 	targets := flag.String("target", "",
-		"liveness mode: comma-separated registered targets (empty = every non-arrestment entry)")
-	perClass := flag.Int("per-class", 8, "liveness mode: masked targets proven per region per case")
-	seed := flag.Int64("seed", 1, "liveness mode: campaign seed")
+		"liveness and fork modes: comma-separated registered targets (empty = every non-arrestment entry for liveness, every entry for fork)")
+	perClass := flag.Int("per-class", 8,
+		"liveness mode: masked targets proven per region per case; fork mode: runs replayed per case")
+	seed := flag.Int64("seed", 1, "liveness and fork modes: campaign seed")
 	eventsPath := flag.String("events", "", "trace mode: NDJSON event log from a campaign's -events-out")
 	flameOut := flag.String("flame-out", "", "trace mode: write folded flamegraph stacks to this file")
 	top := flag.Int("top", 5, "trace mode: how many straggler shards to report")
@@ -147,12 +159,14 @@ func run() error {
 		// Fall through to the campaign comparison below.
 	case "liveness":
 		return runLiveness(*targets, *perClass, *seed)
+	case "fork":
+		return runFork(*targets, *perClass, *seed)
 	case "analytic":
 		return runAnalytic(*benchPath)
 	case "trace":
 		return runTrace(*eventsPath, *flameOut, *top)
 	default:
-		return fmt.Errorf("unknown -mode %q (want samples, liveness, analytic or trace)", *mode)
+		return fmt.Errorf("unknown -mode %q (want samples, liveness, fork, analytic or trace)", *mode)
 	}
 
 	if *exactPath == "" || *adaptivePath == "" {
@@ -438,10 +452,10 @@ func auditAnalyticBench(path string) ([]string, error) {
 	return violations, nil
 }
 
-// runLiveness audits the adaptive def/use pruning on the requested
-// targets: every sampled masked classification must be proved by a
-// witness run that matches the golden trace exactly.
-func runLiveness(targetList string, perClass int, seed int64) error {
+// auditTargets resolves a -target list; an empty list selects every
+// registered target, or every non-arrestment one with withDefault
+// false.
+func auditTargets(targetList string, withDefault bool) ([]string, error) {
 	var names []string
 	for _, n := range strings.Split(targetList, ",") {
 		if n = strings.TrimSpace(n); n != "" {
@@ -450,15 +464,26 @@ func runLiveness(targetList string, perClass int, seed int64) error {
 	}
 	if names == nil {
 		for _, n := range sut.Names() {
-			if n != sut.DefaultTarget {
+			if withDefault || n != sut.DefaultTarget {
 				names = append(names, n)
 			}
 		}
 	}
 	for _, n := range names {
 		if _, err := sut.Lookup(n); err != nil {
-			return err
+			return nil, err
 		}
+	}
+	return names, nil
+}
+
+// runLiveness audits the adaptive def/use pruning on the requested
+// targets: every sampled masked classification must be proved by a
+// witness run that matches the golden trace exactly.
+func runLiveness(targetList string, perClass int, seed int64) error {
+	names, err := auditTargets(targetList, false)
+	if err != nil {
+		return err
 	}
 
 	failed := false
@@ -486,6 +511,48 @@ func runLiveness(targetList string, perClass int, seed int64) error {
 	}
 	if failed {
 		return fmt.Errorf("liveness audit found pruning violations")
+	}
+	return nil
+}
+
+// runFork audits checkpoint-and-fork permeability runs on the requested
+// targets: every sampled forked run must reach the outcome of its
+// full-horizon replay from power-on.
+func runFork(targetList string, perCase int, seed int64) error {
+	names, err := auditTargets(targetList, true)
+	if err != nil {
+		return err
+	}
+	failed := false
+	for _, n := range names {
+		opts, err := experiment.DefaultOptionsFor(n, seed)
+		if err != nil {
+			return err
+		}
+		opts.Workers = 1
+		res, err := experiment.AuditFork(context.Background(), opts, perCase)
+		if err != nil {
+			return err
+		}
+		exits := make([]string, 0, len(res.Exits))
+		for name, k := range res.Exits {
+			exits = append(exits, fmt.Sprintf("%s %d", name, k))
+		}
+		sort.Strings(exits)
+		fmt.Printf("adaptcheck: %s: %d run(s), %d active; exits: %s; simulated %.3f of the full-horizon ms\n",
+			res.Target, res.Runs, res.Active, strings.Join(exits, ", "),
+			float64(res.ForkedSimMs)/float64(res.FullSimMs))
+		if len(res.Mismatches) > 0 {
+			failed = true
+			for _, m := range res.Mismatches {
+				fmt.Fprintf(os.Stderr, "adaptcheck: %s: %s\n", res.Target, m)
+			}
+			continue
+		}
+		fmt.Printf("adaptcheck: %s: 0 mismatches — every forked run matched its full-horizon replay\n", res.Target)
+	}
+	if failed {
+		return fmt.Errorf("fork audit found mismatching outcomes")
 	}
 	return nil
 }

@@ -130,7 +130,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		runsDone                  *obs.Counter
 		preRunRetries, preShRetry int64
 		preReconn, preStrag       int64
-		preShardCounts            []int64
+		preShards                 int
 	)
 	if tel != nil {
 		tel.Campaigns.Inc()
@@ -141,7 +141,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		preShRetry = tel.DispatchRetries.Value()
 		preReconn = tel.FleetReconnects.Value()
 		preStrag = tel.FleetStragglers.Value()
-		preShardCounts = tel.ShardDur.Counts()
+		preShards = tel.ShardWalls.Len()
 
 		inner := fn
 		fn = func(i int) error {
@@ -210,14 +210,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 			ext.ShardRetries = tel.DispatchRetries.Value() - preShRetry
 			ext.FleetReconnects = tel.FleetReconnects.Value() - preReconn
 			ext.StragglerRedispatches = tel.FleetStragglers.Value() - preStrag
-			counts := tel.ShardDur.Counts()
-			for i := range counts {
-				if i < len(preShardCounts) {
-					counts[i] -= preShardCounts[i]
-				}
-			}
-			ext.ShardP50Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.50)
-			ext.ShardP99Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.99)
+			ext.ShardP50Ms, ext.ShardP99Ms = ShardPercentiles(tel.ShardWalls.Since(preShards))
 		}
 		col.ObserveExt(c.Name(), len(plan), time.Since(start), ext)
 	}

@@ -420,7 +420,7 @@ func (rt retrier) runShard(ctx context.Context, job campaign.PayloadJob, t task,
 				rt.logf("dispatch: shard %s (%d runs) completed on attempt %d/%d", hex64(t.id), len(t.indices), attempt, attempts)
 			}
 			if tel != nil {
-				tel.ShardDur.ObserveSince(shardStart)
+				tel.ObserveShard(time.Since(shardStart).Seconds())
 				tel.DispatchDone.Inc()
 				tel.ShardsDone.Inc()
 				tel.Progress.ShardDone()

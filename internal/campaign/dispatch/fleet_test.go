@@ -236,8 +236,19 @@ func TestFleetSurvivesCorruptedFrames(t *testing.T) {
 // agent.
 func TestFleetHeartbeatDetectsSilentPeer(t *testing.T) {
 	const n = 24
-	silent := startSilentWorker(t)
-	good, _ := startAgent(t, cubesFactory(nil), nil)
+	silent, assigned := startSilentWorker(t)
+	// The good agent holds its first run until the silent peer has been
+	// handed a shard. Without this, the good agent could finish the
+	// whole campaign before the silent peer registers, and no heartbeat
+	// would ever be missed. With both shard slots in use (Workers: 2),
+	// a shard waiting for a worker goes to the silent peer as soon as
+	// it registers, so the hold always ends.
+	good, _ := startAgent(t, cubesFactory(func(ctx context.Context, i int) {
+		select {
+		case <-assigned:
+		case <-ctx.Done():
+		}
+	}), nil)
 
 	var log bytes.Buffer
 	f := testFleet(n, silent, good)
@@ -264,14 +275,16 @@ func TestFleetHeartbeatDetectsSilentPeer(t *testing.T) {
 
 // startSilentWorker serves one connection: a correct handshake, then
 // silence. It stops listening after the first accept so the
-// coordinator's re-dial cannot resurrect it.
-func startSilentWorker(t *testing.T) string {
+// coordinator's re-dial cannot resurrect it. The returned channel is
+// closed when the worker receives its first shard request.
+func startSilentWorker(t *testing.T) (string, <-chan struct{}) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	assigned := make(chan struct{})
 	go func() {
 		raw, err := l.Accept()
 		if err != nil {
@@ -291,14 +304,16 @@ func startSilentWorker(t *testing.T) string {
 			return
 		}
 		// Silence: swallow requests, send nothing — not even pings.
+		var once sync.Once
 		for {
 			var req request
 			if err := c.ReadFrame(&req); err != nil {
 				return
 			}
+			once.Do(func() { close(assigned) })
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), assigned
 }
 
 // TestFleetStragglerRedispatch pins the straggler policy: one agent

@@ -95,7 +95,7 @@ func (Serial) Run(ctx context.Context, n int, _ []uint64, fn func(i int) error) 
 	if tel != nil && n > 0 {
 		sp.End()
 		wall := time.Since(start)
-		tel.ShardDur.Observe(wall.Seconds())
+		tel.ObserveShard(wall.Seconds())
 		tel.ShardsDone.Inc()
 		tel.Progress.ShardDone()
 		tel.Live.ShardDone()
@@ -221,7 +221,7 @@ func (s Sharded) Run(ctx context.Context, n int, keys []uint64, fn func(i int) e
 				if tel != nil {
 					sp.End()
 					wall := time.Since(shardStart)
-					tel.ShardDur.Observe(wall.Seconds())
+					tel.ObserveShard(wall.Seconds())
 					tel.ShardsDone.Inc()
 					tel.Progress.ShardDone()
 					tel.Live.ShardDone()

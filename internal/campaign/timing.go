@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Timing is one row of the BENCH_campaigns.json report: how many runs
@@ -164,4 +166,15 @@ func WriteBench(path string, seed int64, workers int, rows []Timing, cache Cache
 		return fmt.Errorf("campaign: writing bench report: %w", err)
 	}
 	return nil
+}
+
+// ShardPercentiles returns the exact median and 99th percentile, in
+// milliseconds, of raw shard wall times given in seconds (linear
+// interpolation between order statistics, stats.Quantile). It returns
+// zeros for no shards.
+func ShardPercentiles(wallsS []float64) (p50Ms, p99Ms float64) {
+	if len(wallsS) == 0 {
+		return 0, 0
+	}
+	return 1000 * stats.Quantile(wallsS, 0.50), 1000 * stats.Quantile(wallsS, 0.99)
 }

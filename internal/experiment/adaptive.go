@@ -190,7 +190,7 @@ type benchBracket struct {
 	tel                *obs.Telemetry
 	preRun, preDis     int64
 	preReconn, preStrg int64
-	preShard           []int64
+	preShard           int
 }
 
 func startBenchBracket() *benchBracket {
@@ -200,7 +200,7 @@ func startBenchBracket() *benchBracket {
 		b.preDis = b.tel.DispatchRetries.Value()
 		b.preReconn = b.tel.FleetReconnects.Value()
 		b.preStrg = b.tel.FleetStragglers.Value()
-		b.preShard = b.tel.ShardDur.Counts()
+		b.preShard = b.tel.ShardWalls.Len()
 	}
 	return b
 }
@@ -215,14 +215,7 @@ func (b *benchBracket) observe(col *campaign.Collector, name string, executed, p
 		ext.ShardRetries = b.tel.DispatchRetries.Value() - b.preDis
 		ext.FleetReconnects = b.tel.FleetReconnects.Value() - b.preReconn
 		ext.StragglerRedispatches = b.tel.FleetStragglers.Value() - b.preStrg
-		counts := b.tel.ShardDur.Counts()
-		for i := range counts {
-			if i < len(b.preShard) {
-				counts[i] -= b.preShard[i]
-			}
-		}
-		ext.ShardP50Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.50)
-		ext.ShardP99Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.99)
+		ext.ShardP50Ms, ext.ShardP99Ms = campaign.ShardPercentiles(b.tel.ShardWalls.Since(b.preShard))
 	}
 	col.ObserveExt(name, executed, time.Since(b.start), ext)
 }

@@ -3,8 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 
 	"repro/internal/fi"
+	"repro/internal/model"
 	"repro/internal/sut"
 	"repro/internal/trace"
 )
@@ -157,4 +160,129 @@ func maskedWitnessRun(opts Options, t sut.Target, g *golden, tgt fi.MemTarget) (
 		}
 	}
 	return bad, nil
+}
+
+// forkAuditPerInput sizes the permeability plan the fork audit samples
+// from: the quick campaign's 100 injections per module input.
+const forkAuditPerInput = 100
+
+// ForkAuditResult summarizes a fork audit of one target: how sampled
+// permeability runs ended when forked from golden-run checkpoints, and
+// whether each forked outcome equals the outcome of the same run
+// simulated from power-on to the golden horizon with no early exit.
+type ForkAuditResult struct {
+	Target       string
+	Runs, Active int
+	// Exits counts how the forked runs stopped, by exit name.
+	Exits map[string]int
+	// ForkedSimMs and FullSimMs total the scheduler time the forked
+	// runs and their full-horizon replays simulated.
+	ForkedSimMs, FullSimMs int64
+	// Mismatches lists every run whose forked outcome differed from
+	// its replay — each one an unsound fork or early exit.
+	Mismatches []string
+}
+
+// AuditFork proves the permeability campaign's checkpoint-and-fork
+// execution sound on the options' target: for perCase seeded runs per
+// test case, drawn from the plan of a campaign with forkAuditPerInput
+// injections per input, it runs the production forked run and the
+// full-horizon reference and requires identical outcomes, including
+// every non-deviating output entry.
+func AuditFork(ctx context.Context, opts Options, perCase int) (*ForkAuditResult, error) {
+	if perCase < 1 {
+		return nil, fmt.Errorf("experiment: perCase %d must be >= 1", perCase)
+	}
+	c, err := newPermeabilityCampaign(ctx, opts, forkAuditPerInput)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := c.Plan()
+	if err != nil {
+		return nil, err
+	}
+	byCase := make([][]permJob, len(opts.Cases))
+	for _, j := range plan {
+		byCase[j.caseIdx] = append(byCase[j.caseIdx], j)
+	}
+
+	res := &ForkAuditResult{Target: c.t.Name(), Exits: make(map[string]int)}
+	for ci, jobs := range byCase {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		g := c.golds[ci]
+		rng := rand.New(rand.NewSource(c.t.RunSeed(opts.Seed, "audit-fork", ci)))
+		pick := rng.Perm(len(jobs))
+		if len(pick) > perCase {
+			pick = pick[:perCase]
+		}
+		for _, k := range pick {
+			j := jobs[k]
+			got, st, err := permeabilityRun(opts, c.t, g, j.mod, j.port, j.sig, j.seq)
+			if err != nil {
+				return nil, err
+			}
+			want, err := fullPermRun(opts, c.t, g, j.mod, j.port, j.sig, j.seq)
+			if err != nil {
+				return nil, err
+			}
+			res.Runs++
+			if want.Active {
+				res.Active++
+			}
+			res.Exits[st.exit.String()]++
+			res.ForkedSimMs += st.simMs
+			res.FullSimMs += g.horizonMs
+			if !reflect.DeepEqual(got, want) {
+				res.Mismatches = append(res.Mismatches, fmt.Sprintf("%s (exit %s): forked %+v, full-horizon %+v",
+					c.Describe(j, j.seq), st.exit, got, want))
+			}
+		}
+	}
+	return res, nil
+}
+
+// fullPermRun is the reference evaluation of a permeability run: it
+// simulates from power-on to the golden horizon with no early exit,
+// records the watched signals, and applies the direct-errors rule to
+// their first differences from the golden trace.
+func fullPermRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, error) {
+	var out permOutcome
+	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
+	if err != nil {
+		return out, err
+	}
+	defer t.Release(rig)
+	flip := permFlip(opts, t, g, rig.System(), port, sig, index)
+	inj := fi.NewInjector(flip)
+	rig.Sched().OnPreSlot(inj.Hook)
+	rig.Bus().OnRead(inj.ReadHook())
+
+	outSigs, cutSigs := permWatch(mod, sig)
+	watch := dedupSignals(append(append([]model.SignalID(nil), outSigs...), cutSigs...))
+	rec := trace.NewRecorder(rig.Bus(), watch, 1, g.horizonMs)
+	rig.Sched().OnPostSlot(rec.Hook)
+	if err := rig.RunFor(g.horizonMs); err != nil {
+		return out, err
+	}
+
+	applied, at := flip.Applied()
+	out.Active = applied && at < g.arrestMs
+	out.Direct = make(map[int]bool, len(mod.Outputs))
+	if !out.Active {
+		return out, nil
+	}
+	ir := rec.Trace()
+	cutoff := trace.NoDifference // earliest other-input deviation
+	for _, s := range cutSigs {
+		if fd := trace.FirstDifference(g.trace, ir, s); fd != trace.NoDifference && (cutoff < 0 || fd < cutoff) {
+			cutoff = fd
+		}
+	}
+	for _, op := range mod.Outputs {
+		fd := trace.FirstDifference(g.trace, ir, op.Signal)
+		out.Direct[op.Index] = fd != trace.NoDifference && (cutoff < 0 || fd <= cutoff)
+	}
+	return out, nil
 }

@@ -20,7 +20,8 @@ func benchInjectionOpts() Options {
 
 // BenchmarkInjectionRun pins the cost of one permeability injection run —
 // the unit the ~39 000-run full-size campaigns multiply. ReportAllocs
-// makes allocation regressions on the inner loop visible in CI.
+// makes allocation regressions on the inner loop visible in CI;
+// sim_ms/op is the scheduler time a run simulates after its fork.
 func BenchmarkInjectionRun(b *testing.B) {
 	opts := benchInjectionOpts()
 	t, err := resolvedTarget(opts)
@@ -39,11 +40,15 @@ func BenchmarkInjectionRun(b *testing.B) {
 	port := model.PortRef{Module: mod.ID, Dir: model.DirIn, Index: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var simMs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := permeabilityRun(opts, t, golds[0], mod, port, target.SigPACNT, i); err != nil {
+		_, st, err := permeabilityRun(opts, t, golds[0], mod, port, target.SigPACNT, i)
+		if err != nil {
 			b.Fatal(err)
 		}
+		simMs += st.simMs
 	}
+	b.ReportMetric(float64(simMs)/float64(b.N), "sim_ms/op")
 }
 
 // BenchmarkGoldenRun pins the cost of one fault-free reference run with
@@ -55,9 +60,13 @@ func BenchmarkGoldenRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var simMs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := runGolden(opts, t, opts.Cases[0]); err != nil {
+		g, err := runGolden(opts, t, opts.Cases[0])
+		if err != nil {
 			b.Fatal(err)
 		}
+		simMs += g.horizonMs
 	}
+	b.ReportMetric(float64(simMs)/float64(b.N), "sim_ms/op")
 }

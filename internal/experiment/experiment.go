@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/campaign"
@@ -230,12 +231,30 @@ func (o Options) executor() campaign.Executor {
 	return campaign.Sharded{Workers: o.Workers, Shards: o.Shards}
 }
 
+// checkpointEveryMs is the golden-run checkpoint interval: a golden run
+// keeps its rig's state every checkpointEveryMs of scheduler time, an
+// injection run forks from the last checkpoint at or before its
+// injection instant, and a run whose state equals the golden state at
+// one of these instants is masked from then on.
+const checkpointEveryMs = 100
+
 // golden is the reference data of one test case.
 type golden struct {
 	tc        sut.Case
 	trace     *trace.Trace
 	arrestMs  int64
 	horizonMs int64
+	// checkpoints[i] is the run state at i·checkpointEveryMs, up to
+	// the horizon.
+	checkpoints []*sut.Checkpoint
+}
+
+// forkPoint returns the index of the last checkpoint taken at or before
+// nowMs.
+func (g *golden) forkPoint(nowMs int64) int {
+	return sort.Search(len(g.checkpoints), func(i int) bool {
+		return g.checkpoints[i].NowMs() > nowMs
+	}) - 1
 }
 
 // describeRun renders one run's identity for engine diagnostics: the
@@ -250,9 +269,10 @@ func describeRun(t sut.Target, opts Options, name string, index, caseIdx int) st
 }
 
 // runGolden executes the fault-free reference run of a test case,
-// recording every signal at the 1 ms slot period. The recorded trace is
-// retained (goldens are cached and compared against for the rest of the
-// process), so the recorder is deliberately not pooled.
+// recording every signal at the 1 ms slot period and checkpointing the
+// rig every checkpointEveryMs. Trace and checkpoints are retained
+// (goldens are cached and compared against for the rest of the
+// process).
 func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 	rig, err := t.Acquire(tc, t.CaseSeed(opts.Seed, tc), sut.Variant{})
 	if err != nil {
@@ -261,6 +281,12 @@ func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 	defer t.Release(rig)
 	rec := trace.NewRecorder(rig.Bus(), t.AllSignals(), 1, opts.MaxRunMs)
 	rig.Sched().OnPostSlot(rec.Hook)
+	cps := []*sut.Checkpoint{rig.Checkpoint()}
+	rig.Sched().OnSlotEnd(func(nowMs int64) {
+		if nowMs%checkpointEveryMs == 0 {
+			cps = append(cps, rig.Checkpoint())
+		}
+	})
 	done, err := rig.RunUntilDone(opts.MaxRunMs)
 	if err != nil {
 		return nil, err
@@ -274,10 +300,11 @@ func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 		return nil, err
 	}
 	return &golden{
-		tc:        tc,
-		trace:     rec.Trace(),
-		arrestMs:  arrest,
-		horizonMs: rig.Sched().NowMs(),
+		tc:          tc,
+		trace:       rec.Trace(),
+		arrestMs:    arrest,
+		horizonMs:   rig.Sched().NowMs(),
+		checkpoints: cps,
 	}, nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/sut"
-	"repro/internal/trace"
 )
 
 // PermeabilityResult is the outcome of the Table 1 campaign: the
@@ -168,7 +167,8 @@ func (c *permeabilityCampaign) round(name string, st AdaptiveRound) (*roundCampa
 }
 
 func (c *permeabilityCampaign) Execute(_ context.Context, j permJob, _ int) (permOutcome, error) {
-	return permeabilityRun(c.opts, c.t, c.golds[j.caseIdx], j.mod, j.port, j.sig, j.seq)
+	out, _, err := permeabilityRun(c.opts, c.t, c.golds[j.caseIdx], j.mod, j.port, j.sig, j.seq)
+	return out, err
 }
 
 func (c *permeabilityCampaign) Reduce(plan []permJob, results []permOutcome) (*PermeabilityResult, error) {
@@ -308,77 +308,168 @@ func (r *PermeabilityResult) WriteSamples(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// permeabilityRun executes one injection run and evaluates direct output
-// deviations against the golden trace.
-func permeabilityRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, error) {
-	var out permOutcome
-	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
+// permExit says why a forked permeability run stopped. Every exit
+// fires only once the run's outcome can no longer change; see
+// docs/performance.md, Mechanism 6, for the soundness argument.
+type permExit int
 
+const (
+	// exitHorizon: the run reached the golden horizon.
+	exitHorizon permExit = iota
+	// exitInactive: the flip had not applied by the golden arrest time,
+	// so the injection is inactive whatever happens later.
+	exitInactive
+	// exitCutoff: another input of the module deviated; output
+	// deviations after this sample are not direct errors.
+	exitCutoff
+	// exitAllDiverged: every module output already deviated directly.
+	exitAllDiverged
+	// exitMasked: after the flip, the whole rig state equalled the
+	// golden checkpoint; the rest of the run is the golden run.
+	exitMasked
+)
+
+func (e permExit) String() string {
+	return [...]string{"horizon", "inactive", "cutoff", "all-diverged", "masked"}[e]
+}
+
+// permRunStats describes how a forked run was executed.
+type permRunStats struct {
+	exit  permExit
+	simMs int64 // scheduler time simulated after the fork
+}
+
+// permWatch splits a module's watched signals for the direct-errors
+// rule: its outputs, and the cutoff signals — its other pure inputs
+// (not the injected signal, not also an output), whose deviation ends
+// the window in which output deviations count as direct.
+func permWatch(mod *model.ModuleDecl, sig model.SignalID) (outputs, cutoffs []model.SignalID) {
+	isOut := make(map[model.SignalID]bool, len(mod.Outputs))
+	for _, op := range mod.Outputs {
+		outputs = append(outputs, op.Signal)
+		isOut[op.Signal] = true
+	}
+	for _, in := range mod.Inputs {
+		if in.Signal == sig || isOut[in.Signal] {
+			continue
+		}
+		cutoffs = append(cutoffs, in.Signal)
+	}
+	return outputs, dedupSignals(cutoffs)
+}
+
+// permFlip draws run index's flip — bit and injection instant — from
+// the run's seed.
+func permFlip(opts Options, t sut.Target, g *golden, sys *model.System, port model.PortRef, sig model.SignalID, index int) *fi.ReadFlip {
+	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
+	return &fi.ReadFlip{
+		Port:   port,
+		Bit:    pickBit(rng, sys, sig),
+		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
+	}
+}
+
+// watched is one signal compared online against its golden column.
+type watched struct {
+	idx  int          // dense bus index
+	gold []model.Word // golden samples
+}
+
+// permeabilityRun executes one injection run and evaluates direct
+// output deviations against the golden run. Up to the injection instant
+// an injection run is the golden run, so the run starts from the golden
+// checkpoint at or before that instant. After each slot it compares the
+// watched signals with the golden samples of the same slot and stops as
+// soon as its outcome is fixed (see permExit).
+func permeabilityRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, permRunStats, error) {
+	var out permOutcome
+	var st permRunStats
 	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
 	if err != nil {
-		return out, err
+		return out, st, err
 	}
 	defer t.Release(rig)
 
-	flip := &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, rig.System(), sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
+	flip := permFlip(opts, t, g, rig.System(), port, sig, index)
+	cps := g.checkpoints
+	fork := cps[g.forkPoint(flip.FromMs)]
+	if err := rig.Restore(fork); err != nil {
+		return out, st, err
 	}
+	start := fork.NowMs()
+
 	inj := fi.NewInjector(flip)
 	rig.Sched().OnPreSlot(inj.Hook)
 	rig.Bus().OnRead(inj.ReadHook())
 
-	// Record the module's outputs plus its other pure inputs (inputs
-	// that are not also outputs): the cutoff signals of the
-	// direct-errors-only rule.
-	outputs := make(map[model.SignalID]bool, len(mod.Outputs))
-	for _, op := range mod.Outputs {
-		outputs[op.Signal] = true
-	}
-	var watch []model.SignalID
-	var cutoffSigs []model.SignalID
-	for _, op := range mod.Outputs {
-		watch = append(watch, op.Signal)
-	}
-	for _, in := range mod.Inputs {
-		if in.Signal == sig || outputs[in.Signal] {
-			continue
+	resolve := func(sigs []model.SignalID) []watched {
+		ws := make([]watched, len(sigs))
+		for i, s := range sigs {
+			ws[i].idx, _ = rig.System().SignalIndex(s)
+			ws[i].gold = g.trace.View(s)
 		}
-		watch = append(watch, in.Signal)
-		cutoffSigs = append(cutoffSigs, in.Signal)
+		return ws
 	}
-	watch = dedupSignals(watch)
+	outSigs, cutSigs := permWatch(mod, sig)
+	outputs, cutoffs := resolve(outSigs), resolve(cutSigs)
+	deviated := make([]bool, len(outputs))
+	diverged := 0
+	bus, sch := rig.Bus(), rig.Sched()
 
-	rec := acquireRecorder(rig.Bus(), watch, 1, g.horizonMs)
-	defer releaseRecorder(rec)
-	rig.Sched().OnPostSlot(rec.Hook)
-
-	if err := rig.RunFor(g.horizonMs); err != nil {
-		return out, err
+	settled := func() bool {
+		now := sch.NowMs()
+		applied, at := flip.Applied()
+		if !applied || at >= g.arrestMs {
+			// Until the flip applies the run is the golden run, and
+			// once arrestMs passes the run can only be inactive.
+			if now >= g.arrestMs {
+				st.exit = exitInactive
+				return true
+			}
+			return false
+		}
+		k := now - 1 // the sample this slot produced
+		for i, w := range outputs {
+			if !deviated[i] && bus.PeekIdx(w.idx) != w.gold[k] {
+				deviated[i] = true
+				diverged++
+			}
+		}
+		for _, w := range cutoffs {
+			if bus.PeekIdx(w.idx) != w.gold[k] {
+				st.exit = exitCutoff
+				return true
+			}
+		}
+		if diverged == len(outputs) {
+			st.exit = exitAllDiverged
+			return true
+		}
+		if now%checkpointEveryMs == 0 {
+			if i := int(now / checkpointEveryMs); i < len(cps) && cps[i].NowMs() == now && rig.AtCheckpoint(cps[i]) {
+				st.exit = exitMasked
+				return true
+			}
+		}
+		return false
 	}
+	if _, err := sch.RunUntil(settled, g.horizonMs-start); err != nil {
+		return out, st, err
+	}
+	st.simMs = sch.NowMs() - start
 
 	applied, at := flip.Applied()
 	out.Active = applied && at < g.arrestMs
 	out.Direct = make(map[int]bool, len(mod.Outputs))
 	if !out.Active {
-		return out, nil
+		return out, st, nil
 	}
-
-	ir := rec.Trace()
-	cutoff := -1 // sample index of the earliest other-input deviation
-	for _, s := range cutoffSigs {
-		if fd := trace.FirstDifference(g.trace, ir, s); fd != trace.NoDifference {
-			if cutoff < 0 || fd < cutoff {
-				cutoff = fd
-			}
-		}
+	// The run stops at the first cutoff sample, after comparing the
+	// outputs of that sample, so every recorded deviation is direct.
+	for i, op := range mod.Outputs {
+		out.Direct[op.Index] = deviated[i]
 	}
-	for _, op := range mod.Outputs {
-		fd := trace.FirstDifference(g.trace, ir, op.Signal)
-		out.Direct[op.Index] = fd != trace.NoDifference && (cutoff < 0 || fd <= cutoff)
-	}
-	return out, nil
+	return out, st, nil
 }
 
 func dedupSignals(in []model.SignalID) []model.SignalID {

@@ -19,6 +19,7 @@ package memmap
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -126,6 +127,43 @@ func (m *Map) Reset() {
 	for i := range m.cells {
 		m.cells[i].raw = m.cells[i].info.Init
 	}
+}
+
+// SnapshotInto copies the raw value of every cell, RAM and stack, into
+// dst in allocation order and returns the filled slice, reusing dst's
+// backing array when it is large enough.
+func (m *Map) SnapshotInto(dst []model.Word) []model.Word {
+	dst = slices.Grow(dst[:0], len(m.cells))[:len(m.cells)]
+	for i := range m.cells {
+		dst[i] = m.cells[i].raw
+	}
+	return dst
+}
+
+// Restore overwrites every cell with a SnapshotInto result of a map
+// with the same allocation sequence. Hooks do not fire.
+func (m *Map) Restore(raw []model.Word) error {
+	if len(raw) != len(m.cells) {
+		return fmt.Errorf("memmap: restoring %d cells into a map of %d", len(raw), len(m.cells))
+	}
+	for i := range m.cells {
+		m.cells[i].raw = raw[i]
+	}
+	return nil
+}
+
+// Matches reports whether every cell holds the raw value in raw, a
+// SnapshotInto result.
+func (m *Map) Matches(raw []model.Word) bool {
+	if len(raw) != len(m.cells) {
+		return false
+	}
+	for i := range m.cells {
+		if m.cells[i].raw != raw[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // OnRead installs a read hook; hooks chain in installation order.

@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ReadHook intercepts a module's read of a signal. The fault injector
 // uses read hooks to realize transient errors: the stored value stays
@@ -183,4 +186,20 @@ func (b *Bus) SnapshotInto(dst []Word) []Word {
 	dst = dst[:len(b.values)]
 	copy(dst, b.values)
 	return dst
+}
+
+// Restore overwrites every signal's raw value with a SnapshotInto
+// result of a bus over the same system. Hooks do not fire.
+func (b *Bus) Restore(raw []Word) error {
+	if len(raw) != len(b.values) {
+		return fmt.Errorf("model: restoring %d signal values into a bus of %d", len(raw), len(b.values))
+	}
+	copy(b.values, raw)
+	return nil
+}
+
+// Matches reports whether every signal's raw value equals raw, a
+// SnapshotInto result.
+func (b *Bus) Matches(raw []Word) bool {
+	return slices.Equal(b.values, raw)
 }

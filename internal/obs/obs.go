@@ -63,6 +63,7 @@ type Telemetry struct {
 	ShardsPlanned *Counter   // shards partitioned for execution
 	ShardsDone    *Counter   // shards completed
 	ShardDur      *Histogram // per-shard wall time, seconds (all executors)
+	ShardWalls    *SampleLog // the same wall times, raw, for exact percentiles
 
 	// Subprocess dispatcher.
 	DispatchShards    *Counter // shards planned by the dispatcher (incl. resumed)
@@ -123,6 +124,7 @@ func New(cfg Config) *Telemetry {
 		ShardsPlanned: r.Counter("repro_shards_total"),
 		ShardsDone:    r.Counter("repro_shards_done_total"),
 		ShardDur:      r.Histogram("repro_shard_duration_seconds", DurationBuckets),
+		ShardWalls:    &SampleLog{},
 
 		DispatchShards:    r.Counter("repro_dispatch_shards_total"),
 		DispatchResumed:   r.Counter("repro_dispatch_shards_resumed_total"),
@@ -155,6 +157,13 @@ func New(cfg Config) *Telemetry {
 		t.Progress = NewProgress(cfg.ProgressSink, cfg.ProgressInterval)
 	}
 	return t
+}
+
+// ObserveShard records one shard's wall time in seconds, into the
+// /metrics histogram and into the raw log BENCH percentiles come from.
+func (t *Telemetry) ObserveShard(seconds float64) {
+	t.ShardDur.Observe(seconds)
+	t.ShardWalls.Add(seconds)
 }
 
 // Uptime reports how long the telemetry has been live (monotonic).

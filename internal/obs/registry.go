@@ -141,16 +141,50 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return quantileFromCounts(h.bounds, h.Counts(), q)
 }
 
-// QuantileFromCounts estimates the q-quantile of a bucket-count vector
-// (len(bounds)+1 entries, last = overflow) without a live Histogram —
-// the engine uses it on snapshot deltas to report per-campaign shard
-// latency percentiles.
-func QuantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
-	return quantileFromCounts(bounds, counts, q)
+// SampleLog keeps raw observations in arrival order. A campaign
+// produces at most a few hundred shard durations, so keeping them is
+// cheap, and reports can compute exact percentiles from them instead of
+// interpolating on histogram buckets. Safe for concurrent use and on
+// nil.
+type SampleLog struct {
+	mu sync.Mutex
+	xs []float64
 }
 
-// quantileFromCounts is the bucket-walk shared by live histograms and
-// snapshot deltas.
+// Add records one observation.
+func (l *SampleLog) Add(v float64) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.xs = append(l.xs, v)
+	l.mu.Unlock()
+}
+
+// Len reads the number of observations recorded so far.
+func (l *SampleLog) Len() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.xs)
+}
+
+// Since copies the observations recorded after the first n.
+func (l *SampleLog) Since(n int) []float64 {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n >= len(l.xs) {
+		return nil
+	}
+	return append([]float64(nil), l.xs[n:]...)
+}
+
+// quantileFromCounts is the bucket walk behind Histogram.Quantile.
 func quantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
 	if len(bounds) == 0 {
 		return 0

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/rngpos"
 )
 
 // StandardGravity is g in m/s².
@@ -117,6 +118,7 @@ func (p Params) Validate() error {
 // Plant is the simulated arrestment rig plus aircraft. Create with New.
 type Plant struct {
 	p   Params
+	src *rngpos.Source
 	rng *rand.Rand
 
 	timeS    float64
@@ -141,12 +143,13 @@ func New(p Params) *Plant {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	pl := &Plant{
+	src := rngpos.New(p.Seed)
+	return &Plant{
 		p:   p,
-		rng: rand.New(rand.NewSource(p.Seed)),
+		src: src,
+		rng: rand.New(src),
 		v:   p.EngageVelocityMps,
 	}
-	return pl
 }
 
 // Params returns the plant configuration.
@@ -161,9 +164,43 @@ func (pl *Plant) Reset(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	rng := pl.rng
-	*pl = Plant{p: p, rng: rng, v: p.EngageVelocityMps}
+	src, rng := pl.src, pl.rng
+	*pl = Plant{p: p, src: src, rng: rng, v: p.EngageVelocityMps}
 	pl.rng.Seed(p.Seed)
+}
+
+// State is a captured plant: every simulation variable plus the
+// noise generator's position. States compare with ==; equal states
+// produce identical futures under identical valve commands.
+type State struct {
+	plant Plant // generator fields nil
+	rng   rngpos.Pos
+}
+
+// State captures the plant.
+func (pl *Plant) State() State {
+	st := State{plant: *pl, rng: pl.src.Pos()}
+	st.plant.src, st.plant.rng = nil, nil
+	return st
+}
+
+// SetState puts the plant into a captured state, replaying the noise
+// generator to the captured position.
+func (pl *Plant) SetState(st State) {
+	src, rng := pl.src, pl.rng
+	*pl = st.plant
+	pl.src, pl.rng = src, rng
+	src.SetPos(st.rng)
+}
+
+// InState reports whether the plant is exactly in the captured state.
+func (pl *Plant) InState(st State) bool {
+	if pl.src.Pos() != st.rng {
+		return false
+	}
+	cur := *pl
+	cur.src, cur.rng = nil, nil
+	return cur == st.plant
 }
 
 // SetValveDuty applies the actuator command from the TOC2 register

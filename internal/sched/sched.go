@@ -109,10 +109,12 @@ type Scheduler struct {
 	table   Table
 	bus     *model.Bus
 	mods    map[model.ModuleID]model.Runnable
+	order   []model.ModuleID // system declaration order, for State
 	nowMs   int64
 	slot    int
 	pre     []Hook
 	post    []Hook
+	ends    []Hook
 	filters []StepFilter
 	defers  []*entry                  // scratch for StepDefer verdicts, reused across slots
 	invoked map[model.ModuleID]*int64 // invocation counts, for accounting
@@ -133,10 +135,15 @@ func New(bus *model.Bus, table Table) (*Scheduler, error) {
 	if err := table.Validate(bus.System()); err != nil {
 		return nil, err
 	}
+	var order []model.ModuleID
+	for _, m := range bus.System().Modules() {
+		order = append(order, m.ID)
+	}
 	return &Scheduler{
 		table:   table,
 		bus:     bus,
 		mods:    make(map[model.ModuleID]model.Runnable),
+		order:   order,
 		invoked: make(map[model.ModuleID]*int64),
 		exec:    model.NewExec(bus, nil, 0),
 	}, nil
@@ -162,6 +169,12 @@ func (s *Scheduler) OnPreSlot(h Hook) { s.pre = append(s.pre, h) }
 // OnPostSlot installs a monitor hook run after each slot.
 func (s *Scheduler) OnPostSlot(h Hook) { s.post = append(s.post, h) }
 
+// OnSlotEnd installs a hook run at the end of each slot, after the
+// post-slot hooks and after time has advanced; it receives the new
+// time. A slot-end hook sees the state the next slot starts from, which
+// makes it the place to take checkpoints (see State).
+func (s *Scheduler) OnSlotEnd(h Hook) { s.ends = append(s.ends, h) }
+
 // OnStep installs a step filter consulted before every scheduled module
 // step (see StepFilter).
 func (s *Scheduler) OnStep(f StepFilter) { s.filters = append(s.filters, f) }
@@ -172,6 +185,7 @@ func (s *Scheduler) OnStep(f StepFilter) { s.filters = append(s.filters, f) }
 func (s *Scheduler) ResetHooks() {
 	s.pre = s.pre[:0]
 	s.post = s.post[:0]
+	s.ends = s.ends[:0]
 	s.filters = s.filters[:0]
 }
 
@@ -198,6 +212,60 @@ func (s *Scheduler) Reset() {
 	for _, n := range s.invoked {
 		*n = 0
 	}
+}
+
+// State is the scheduler's position between two slots: the time, the
+// internal slot counter and every module's invocation count, in the
+// system's module declaration order.
+type State struct {
+	NowMs   int64
+	Slot    int
+	Invoked []int64
+}
+
+// State captures the scheduler's position. Call it between slots — on
+// the caller's side of RunSlot or from a slot-end hook.
+func (s *Scheduler) State() State {
+	st := State{NowMs: s.nowMs, Slot: s.slot, Invoked: make([]int64, len(s.order))}
+	for i, id := range s.order {
+		st.Invoked[i] = s.Invocations(id)
+	}
+	return st
+}
+
+// SetState moves the scheduler to a captured position of a scheduler
+// over the same system and table. Hooks and registrations are kept.
+func (s *Scheduler) SetState(st State) error {
+	if len(st.Invoked) != len(s.order) {
+		return fmt.Errorf("sched: state has %d invocation counts for %d modules", len(st.Invoked), len(s.order))
+	}
+	if st.Slot < 0 || st.Slot >= len(s.table.Slots) {
+		return fmt.Errorf("sched: state slot %d outside the %d-slot table", st.Slot, len(s.table.Slots))
+	}
+	s.nowMs, s.slot = st.NowMs, st.Slot
+	for i, id := range s.order {
+		n := s.invoked[id]
+		if n == nil {
+			n = new(int64)
+			s.invoked[id] = n
+		}
+		*n = st.Invoked[i]
+	}
+	return nil
+}
+
+// InState reports whether the scheduler is exactly at the captured
+// position.
+func (s *Scheduler) InState(st State) bool {
+	if s.nowMs != st.NowMs || s.slot != st.Slot || len(st.Invoked) != len(s.order) {
+		return false
+	}
+	for i, id := range s.order {
+		if s.Invocations(id) != st.Invoked[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // compile resolves the table's module IDs to registered behaviours and
@@ -297,6 +365,9 @@ func (s *Scheduler) RunSlot() error {
 	}
 	s.nowMs += s.table.SlotMs
 	s.slot = (s.slot + 1) % len(s.table.Slots)
+	for _, h := range s.ends {
+		h(s.nowMs)
+	}
 	return nil
 }
 

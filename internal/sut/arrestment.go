@@ -8,6 +8,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/physics"
 	"repro/internal/sched"
 	"repro/internal/target"
 )
@@ -111,4 +112,23 @@ func (a arrestRig) RunUntilDone(maxMs int64) (bool, error) {
 
 func (a arrestRig) Failed(done bool) bool {
 	return failure.Classify(a.r.Plant, done, failure.DefaultLimits()).Failed()
+}
+
+func (a arrestRig) Checkpoint() *Checkpoint { return capture(a, a.r.Plant.State()) }
+
+func (a arrestRig) Restore(cp *Checkpoint) error {
+	st, err := envOf[physics.State](cp)
+	if err != nil {
+		return err
+	}
+	if err := cp.restore(a); err != nil {
+		return err
+	}
+	a.r.Plant.SetState(st)
+	return nil
+}
+
+func (a arrestRig) AtCheckpoint(cp *Checkpoint) bool {
+	st, ok := cp.env.(physics.State)
+	return ok && cp.matches(a) && a.r.Plant.InState(st)
 }

@@ -3,6 +3,7 @@ package sut
 import (
 	_ "embed"
 	"fmt"
+	"slices"
 
 	"repro/internal/ea"
 	"repro/internal/erm"
@@ -107,7 +108,7 @@ func (g *genericTarget) Acquire(tc Case, seed int64, v Variant) (Rig, error) {
 
 	stim := newStimulus(g.sys, g.inputs, tc, seed)
 	s.OnPreSlot(func(nowMs int64) { stim.advance(bus) })
-	return &genericRig{sys: g.sys, bus: bus, mem: mem, sched: s}, nil
+	return &genericRig{sys: g.sys, bus: bus, mem: mem, sched: s, stim: stim}, nil
 }
 
 func (g *genericTarget) Release(r Rig) {}
@@ -202,6 +203,7 @@ type genericRig struct {
 	bus   *model.Bus
 	mem   *memmap.Map
 	sched *sched.Scheduler
+	stim  *stimulus
 }
 
 func (r *genericRig) System() *model.System   { return r.sys }
@@ -223,6 +225,29 @@ func (r *genericRig) RunUntilDone(maxMs int64) (bool, error) {
 // detection only. Failure-class columns degenerate to "no failure",
 // which the reports state explicitly.
 func (r *genericRig) Failed(done bool) bool { return false }
+
+func (r *genericRig) Checkpoint() *Checkpoint { return capture(r, r.stim.state()) }
+
+func (r *genericRig) Restore(cp *Checkpoint) error {
+	st, err := envOf[stimulusState](cp)
+	if err != nil {
+		return err
+	}
+	if len(st.vals) != len(r.stim.vals) {
+		return fmt.Errorf("sut: checkpoint stimulus drives %d inputs, rig %d", len(st.vals), len(r.stim.vals))
+	}
+	if err := cp.restore(r); err != nil {
+		return err
+	}
+	r.stim.x = st.x
+	copy(r.stim.vals, st.vals)
+	return nil
+}
+
+func (r *genericRig) AtCheckpoint(cp *Checkpoint) bool {
+	st, ok := cp.env.(stimulusState)
+	return ok && cp.matches(r) && r.stim.x == st.x && slices.Equal(r.stim.vals, st.vals)
+}
 
 // genericModule is the interpreter kernel: scale every input to a
 // common 10-bit domain, average, low-pass the average into a persistent
@@ -328,6 +353,18 @@ func newStimulus(sys *model.System, inputs []model.SignalID, tc Case, seed int64
 		st.caps = append(st.caps, cap)
 	}
 	return st
+}
+
+// stimulusState is a captured stimulus: the generator word and the
+// current input levels. The case-derived walk step and caps are
+// configuration, not state.
+type stimulusState struct {
+	x    uint64
+	vals []model.Word
+}
+
+func (st *stimulus) state() stimulusState {
+	return stimulusState{x: st.x, vals: slices.Clone(st.vals)}
 }
 
 func (st *stimulus) delta() model.Word {

@@ -87,6 +87,15 @@ type Rig interface {
 	// Failed classifies the finished run against the target's
 	// specification; done is RunUntilDone's verdict.
 	Failed(done bool) bool
+	// Checkpoint captures the run state between slots (see
+	// Checkpoint); take it before a run or from a slot-end hook.
+	Checkpoint() *Checkpoint
+	// Restore puts the rig into a checkpoint taken from a rig of the
+	// same target, case and variant. Installed hooks stay installed.
+	Restore(cp *Checkpoint) error
+	// AtCheckpoint reports whether the rig's run state equals cp
+	// exactly: from then on the two runs are indistinguishable.
+	AtCheckpoint(cp *Checkpoint) bool
 }
 
 // Target is one registered system under test.

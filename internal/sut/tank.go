@@ -116,3 +116,22 @@ func (t tankRig) RunUntilDone(maxMs int64) (bool, error) {
 }
 
 func (t tankRig) Failed(done bool) bool { return t.r.Classify().Failed() }
+
+func (t tankRig) Checkpoint() *Checkpoint { return capture(t, t.r.Plant.State()) }
+
+func (t tankRig) Restore(cp *Checkpoint) error {
+	st, err := envOf[tank.State](cp)
+	if err != nil {
+		return err
+	}
+	if err := cp.restore(t); err != nil {
+		return err
+	}
+	t.r.Plant.SetState(st)
+	return nil
+}
+
+func (t tankRig) AtCheckpoint(cp *Checkpoint) bool {
+	st, ok := cp.env.(tank.State)
+	return ok && cp.matches(t) && t.r.Plant.InState(st)
+}

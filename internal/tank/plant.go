@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/rngpos"
 )
 
 // PlantParams configures the physical tank.
@@ -78,6 +79,7 @@ func (p PlantParams) Validate() error {
 // Plant simulates the tank.
 type Plant struct {
 	p   PlantParams
+	src *rngpos.Source
 	rng *rand.Rand
 
 	timeS  float64
@@ -96,9 +98,11 @@ func NewPlant(p PlantParams) *Plant {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	src := rngpos.New(p.Seed)
 	return &Plant{
 		p:        p,
-		rng:      rand.New(rand.NewSource(p.Seed)),
+		src:      src,
+		rng:      rand.New(src),
 		level:    p.InitialLevelM,
 		inflow:   p.InflowBase,
 		minLevel: p.InitialLevelM,
@@ -108,6 +112,43 @@ func NewPlant(p PlantParams) *Plant {
 
 // Params returns the configuration.
 func (pl *Plant) Params() PlantParams { return pl.p }
+
+// State is a captured plant: every simulation variable plus the
+// noise generator's position. States compare with ==.
+type State struct {
+	plant Plant // generator fields nil
+	rng   rngpos.Pos
+}
+
+// Draws is the number of noise-generator draws the captured plant had
+// made since seeding.
+func (s State) Draws() uint64 { return s.rng.Draws }
+
+// State captures the plant.
+func (pl *Plant) State() State {
+	st := State{plant: *pl, rng: pl.src.Pos()}
+	st.plant.src, st.plant.rng = nil, nil
+	return st
+}
+
+// SetState puts the plant into a captured state, replaying the noise
+// generator to the captured position.
+func (pl *Plant) SetState(st State) {
+	src, rng := pl.src, pl.rng
+	*pl = st.plant
+	pl.src, pl.rng = src, rng
+	src.SetPos(st.rng)
+}
+
+// InState reports whether the plant is exactly in the captured state.
+func (pl *Plant) InState(st State) bool {
+	if pl.src.Pos() != st.rng {
+		return false
+	}
+	cur := *pl
+	cur.src, cur.rng = nil, nil
+	return cur == st.plant
+}
 
 // SetValve applies the actuator register (0..255).
 func (pl *Plant) SetValve(v model.Word) {

@@ -97,6 +97,10 @@ func (t *Trace) Column(sig model.SignalID) []model.Word {
 	return append([]model.Word(nil), t.column(sig)...)
 }
 
+// View returns the samples of one signal without copying. The slice
+// aliases the trace and must not be modified.
+func (t *Trace) View(sig model.SignalID) []model.Word { return t.column(sig) }
+
 func (t *Trace) column(sig model.SignalID) []model.Word {
 	i, ok := t.index[sig]
 	if !ok {
