@@ -183,7 +183,8 @@ func run() error {
 		return err
 	}
 	if *workerShard {
-		return experiment.ServeWorker(ctx, os.Getenv(experiment.WorkerSpecEnv), os.Stdin, os.Stdout)
+		experiment.ServeWorker(ctx)
+		return nil
 	}
 	if *workerListen != "" || *workerConnect != "" {
 		stopTelemetry, err := experiment.StartTelemetry(experiment.TelemetryFlags{

@@ -7,7 +7,7 @@
 // fire at the same seams the real failure modes use — the per-run
 // function the executor drives, and the payload store the dispatcher
 // feeds — so the engine's recovery machinery (campaign.Retry, the
-// dispatch.Subprocess shard retry) is exercised exactly as a real
+// dispatch.Fleet shard retry) is exercised exactly as a real
 // crash, hang or corrupted result would exercise it.
 //
 // Every fault decision is a pure function of (Seed, run index), so a
@@ -58,7 +58,7 @@ const (
 // the runs it forwards to Inner. Compose it outside the recovery layer
 // it is meant to exercise: Chaos{Inner: Retry{Inner: Sharded{...}}}
 // lets Retry heal the injected panics/errors/delays/drops, and
-// Chaos{Inner: &Subprocess{...}} lets the dispatcher's shard retry
+// Chaos{Inner: &dispatch.Fleet{...}} lets the dispatcher's shard retry
 // heal injected payload corruption.
 type Chaos struct {
 	Inner campaign.Executor

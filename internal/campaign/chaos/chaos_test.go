@@ -136,7 +136,7 @@ func TestChaosDecisionsAreDeterministic(t *testing.T) {
 	}
 }
 
-// fakeDispatcher is a payload executor with dispatch.Subprocess-shaped
+// fakeDispatcher is a payload executor with dispatch.Fleet-shaped
 // semantics in miniature: per run, execute + encode + store, retrying
 // the store a bounded number of times — the seam Chaos corrupts.
 type fakeDispatcher struct{}

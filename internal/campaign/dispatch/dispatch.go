@@ -1,147 +1,234 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
+	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
 
-// DefaultShardTimeout is the per-shard deadline when Subprocess leaves
+// DefaultShardTimeout is the per-shard deadline when a Fleet leaves
 // ShardTimeout zero. A worker that has not answered a shard within it
-// is declared hung, killed, and the shard is re-dispatched.
+// is declared hung, dropped, and the shard is re-dispatched.
 const DefaultShardTimeout = 5 * time.Minute
 
-// helloTimeout bounds how long a freshly spawned worker may take to
-// announce itself before the spawn counts as failed.
-const helloTimeout = 30 * time.Second
+// DefaultConnectWait bounds how long a Fleet waits for its first
+// remote worker before degrading to spawned workers or local execution.
+const DefaultConnectWait = 10 * time.Second
 
-// Subprocess is a campaign.PayloadExecutor that ships whole shards to
-// worker processes over stdin/stdout frames. The plan is partitioned
-// exactly like campaign.Sharded — run i lands in shard keys[i]%Shards,
-// a pure function of campaign identity — so output is byte-identical
-// to in-process execution.
+// Fleet is a campaign.PayloadExecutor that ships whole shards to worker
+// processes. The plan is partitioned exactly like campaign.Sharded —
+// run i lands in shard keys[i]%Shards, a pure function of campaign
+// identity — so output is byte-identical to in-process execution, and
+// a checkpoint journal written under one endpoint kind resumes under
+// any other.
 //
-// The seam is hardened end-to-end:
+// Workers are reached through three kinds of endpoint, all speaking
+// the same handshake and frame protocol: dialed agents (Addrs),
+// registering agents (Listen), and worker processes spawned from
+// Command and served over their stdin/stdout. The degradation ladder
+// runs remote fleet → spawned workers → in-process: with no endpoint
+// configured shards run in-process at once; a remote fleet still empty
+// after ConnectWait falls back to spawning workers; a first spawn that
+// fails falls back to in-process execution at once.
 //
-//   - a worker that crashes (any exit, including SIGKILL) or hangs past
-//     ShardTimeout is killed and its shard retried on a fresh worker,
-//     with capped exponential backoff and deterministic jitter; the
-//     failed worker is never reused;
+// The seam is hardened end to end:
+//
+//   - a worker whose connection dies (crash, SIGKILL, EOF) or that
+//     misses three heartbeats (stopped, partitioned) is dropped and its
+//     shard retried on another worker, with capped exponential backoff
+//     and deterministic jitter; dialed endpoints are re-dialed and
+//     spawned workers killed, reaped and respawned;
+//   - a shard unanswered past ShardTimeout is declared hung; one still
+//     unanswered after StragglerAfter is duplicated to an idle worker,
+//     and the first integrity-checked result wins;
 //   - every response is integrity-checked (FNV-1a over the shard id and
-//     payloads, computed worker-side); a mismatch is treated as a
-//     corrupted result and the shard re-run;
+//     payloads, computed worker-side); a mismatch is a corrupted result
+//     and the shard re-runs;
 //   - campaign-level failures reported by a worker (a run returning an
-//     error, or panicking) are deterministic and abort immediately —
-//     retrying cannot heal them;
+//     error, or panicking) are deterministic and abort immediately;
 //   - when Checkpoint names a journal, each completed shard is synced
 //     to it, and a later invocation of the same campaign resumes by
 //     replaying journaled shards and dispatching only the missing ones;
-//   - when Command is empty, or spawning the first worker fails,
-//     execution degrades gracefully to in-process shard execution
-//     (same partition, same checkpointing) instead of failing.
-type Subprocess struct {
-	// Command is the argv (binary plus args) that starts one worker —
-	// typically the current binary re-exec'd with a hidden worker flag.
-	// Empty selects in-process execution.
+//   - when every worker is gone mid-campaign and none returns, each
+//     waiting shard runs in-process rather than stalling the campaign.
+type Fleet struct {
+	// Addrs lists worker agent endpoints to dial (host:port).
+	Addrs []string
+	// Listen, when non-empty, also accepts incoming worker
+	// registrations (DialAndServe agents) on this address.
+	Listen string
+	// Command is the argv (binary plus args) that starts one worker
+	// process — typically the current binary re-exec'd with a hidden
+	// worker flag that runs ServeStdio. Spawned workers serve the
+	// campaign when no remote endpoint is configured or reachable.
 	Command []string
-	// Env is appended to the parent environment of every worker.
+	// Env is appended to the parent environment of every spawned worker.
 	Env []string
-	// WorkerStderr receives worker stderr (nil discards it).
+	// WorkerStderr receives spawned workers' stderr (nil discards it).
 	WorkerStderr io.Writer
-	// Workers bounds how many shards are in flight at once (>= 1); in
-	// subprocess mode it is also the ceiling on live worker processes.
+	// Spec is the opaque campaign spec shipped to every worker at
+	// handshake (the experiment layer's encoded WorkerSpec).
+	Spec string
+	// TLS wraps dialed worker connections when non-nil; ListenTLS the
+	// accepted ones.
+	TLS, ListenTLS *tls.Config
+	// Tap, when non-nil, intercepts every frame on every connection —
+	// the chaos seam.
+	Tap dnet.Tap
+	// Workers bounds how many shards are in flight at once (>= 1); it is
+	// also the ceiling on live spawned worker processes.
 	Workers int
 	// Shards is the partition width (0 selects campaign.DefaultShards).
 	Shards int
 	// ShardTimeout is the per-shard deadline (0 selects
 	// DefaultShardTimeout).
 	ShardTimeout time.Duration
+	// Heartbeat is the worker ping interval (0 selects
+	// DefaultHeartbeat; negative disables heartbeats and dead-peer
+	// read deadlines).
+	Heartbeat time.Duration
+	// StragglerAfter is how long a shard may stay unanswered before a
+	// duplicate is dispatched to another worker (0 selects half the
+	// shard deadline; negative disables straggler re-dispatch).
+	StragglerAfter time.Duration
 	// Retries is how many times a failed shard is re-dispatched after
-	// its first attempt (0 selects campaign.DefaultAttempts-1; negative
-	// disables retries).
+	// its first attempt (0 selects campaign.DefaultAttempts-1;
+	// negative disables retries).
 	Retries int
-	// BackoffBase and BackoffCap shape the retry backoff (zero selects
-	// the campaign package defaults).
+	// BackoffBase and BackoffCap shape retry, reconnect and respawn
+	// backoff (zero selects the campaign package defaults).
 	BackoffBase, BackoffCap time.Duration
 	// Seed feeds the deterministic backoff jitter.
 	Seed int64
 	// Checkpoint, when non-empty, names the shard journal enabling
 	// crash/resume.
 	Checkpoint string
-	// Log receives dispatcher diagnostics — retries, degradation,
-	// resume accounting (nil discards them).
+	// ConnectWait is how long to wait for the first remote worker
+	// before degrading (0 selects DefaultConnectWait).
+	ConnectWait time.Duration
+	// Log receives dispatcher diagnostics — retries, lost workers,
+	// degradation, resume accounting (nil discards them).
 	Log io.Writer
 
 	logMu sync.Mutex
 	seq   atomic.Uint64
+	// trace is the running campaign's trace id, captured from the
+	// context at RunPayload entry (before connection goroutines start)
+	// so handshakes can announce it to joining workers.
+	trace string
 }
 
-func (s *Subprocess) workers() int {
-	if s.Workers < 1 {
+func (f *Fleet) workers() int {
+	if f.Workers < 1 {
 		return 1
 	}
-	return s.Workers
+	return f.Workers
 }
 
-func (s *Subprocess) shards() int {
-	if s.Shards < 1 {
+func (f *Fleet) shards() int {
+	if f.Shards < 1 {
 		return campaign.DefaultShards
 	}
-	return s.Shards
+	return f.Shards
 }
 
-func (s *Subprocess) shardTimeout() time.Duration {
-	if s.ShardTimeout <= 0 {
+func (f *Fleet) shardTimeout() time.Duration {
+	if f.ShardTimeout <= 0 {
 		return DefaultShardTimeout
 	}
-	return s.ShardTimeout
+	return f.ShardTimeout
 }
 
 // attempts returns the total tries per shard.
-func (s *Subprocess) attempts() int {
+func (f *Fleet) attempts() int {
 	switch {
-	case s.Retries < 0:
+	case f.Retries < 0:
 		return 1
-	case s.Retries == 0:
+	case f.Retries == 0:
 		return campaign.DefaultAttempts
 	default:
-		return s.Retries + 1
+		return f.Retries + 1
 	}
 }
 
-func (s *Subprocess) Name() string {
-	mode := "subprocess"
-	if len(s.Command) == 0 {
-		mode = "subprocess-inproc"
+func (f *Fleet) heartbeat() time.Duration {
+	switch {
+	case f.Heartbeat < 0:
+		return 0
+	case f.Heartbeat == 0:
+		return DefaultHeartbeat
+	default:
+		return f.Heartbeat
 	}
-	return fmt.Sprintf("%s(workers=%d,shards=%d)", mode, s.workers(), s.shards())
 }
 
-func (s *Subprocess) logf(format string, args ...any) {
-	if s.Log == nil {
+// deadAfter is the read deadline on coordinator-side connections:
+// three missed heartbeats mean the worker (or the path to it) is gone.
+func (f *Fleet) deadAfter() time.Duration {
+	return 3 * f.heartbeat()
+}
+
+func (f *Fleet) stragglerAfter() time.Duration {
+	switch {
+	case f.StragglerAfter < 0:
+		return 0
+	case f.StragglerAfter == 0:
+		return f.shardTimeout() / 2
+	default:
+		return f.StragglerAfter
+	}
+}
+
+func (f *Fleet) connectWait() time.Duration {
+	if f.ConnectWait <= 0 {
+		return DefaultConnectWait
+	}
+	return f.ConnectWait
+}
+
+// remote reports whether network endpoints are configured.
+func (f *Fleet) remote() bool { return len(f.Addrs) > 0 || f.Listen != "" }
+
+// Name renders the executor by the top rung of its degradation ladder.
+func (f *Fleet) Name() string {
+	switch {
+	case f.remote():
+		endpoints := len(f.Addrs)
+		if f.Listen != "" {
+			endpoints++
+		}
+		return fmt.Sprintf("fleet(workers=%d,shards=%d,endpoints=%d)", f.workers(), f.shards(), endpoints)
+	case len(f.Command) > 0:
+		return fmt.Sprintf("subprocess(workers=%d,shards=%d)", f.workers(), f.shards())
+	default:
+		return fmt.Sprintf("subprocess-inproc(workers=%d,shards=%d)", f.workers(), f.shards())
+	}
+}
+
+func (f *Fleet) logf(format string, args ...any) {
+	if f.Log == nil {
 		return
 	}
-	s.logMu.Lock()
-	fmt.Fprintf(s.Log, format+"\n", args...)
-	s.logMu.Unlock()
+	f.logMu.Lock()
+	fmt.Fprintf(f.Log, format+"\n", args...)
+	f.logMu.Unlock()
 }
 
 // Run is the plain executor path, used when a campaign has no wire
 // codec: nothing can cross a process boundary, so it executes on the
 // in-process sharded pool with the same partition.
-func (s *Subprocess) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
-	return campaign.Sharded{Workers: s.workers(), Shards: s.Shards}.Run(ctx, n, keys, fn)
+func (f *Fleet) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
+	return campaign.Sharded{Workers: f.workers(), Shards: f.Shards}.Run(ctx, n, keys, fn)
 }
 
 // task is one shard of work: its bucket, deterministic id and plan
@@ -161,83 +248,139 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // RunPayload executes the campaign's plan shard by shard: resume
-// journaled shards, then dispatch the rest to workers (or run them in
-// process when degraded), retrying infrastructure failures per shard.
-func (s *Subprocess) RunPayload(ctx context.Context, job campaign.PayloadJob) error {
-	tasks := partition(job, s.shards())
-	markShardsPlanned(len(tasks))
+// journaled shards, bring up workers by the degradation ladder, then
+// balance the rest over them with per-shard retries and straggler
+// re-dispatch (or run them in process when degraded).
+func (f *Fleet) RunPayload(ctx context.Context, job campaign.PayloadJob) error {
+	f.trace = obs.TraceFromContext(ctx)
+	tasks := partition(job, f.shards())
+	tally(shardsPlanned, len(tasks))
 
 	var j *journal
-	if s.Checkpoint != "" {
+	if f.Checkpoint != "" {
 		var err error
-		if j, err = openJournal(s.Checkpoint); err != nil {
+		if j, err = openJournal(f.Checkpoint); err != nil {
 			return err
 		}
 		defer j.close()
 	}
-
-	pool := &workerPool{s: s}
-	defer pool.closeAll()
-	tel := obs.Active()
-	degraded := len(s.Command) == 0
-	if !degraded {
-		// Probe: if the very first worker cannot be spawned (missing
-		// binary, fork limits, sandbox), degrade to in-process
-		// execution rather than failing the campaign.
-		if w, err := pool.spawn(); err != nil {
-			s.logf("dispatch: cannot spawn workers (%v); degrading to in-process execution", err)
-			degraded = true
-		} else {
-			pool.release(w)
-		}
+	pending := resumeJournaled(job, tasks, j, f.Checkpoint, f.logf)
+	if len(pending) == 0 {
+		return ctx.Err()
 	}
-	if tel != nil && degraded {
+
+	reg, err := f.start(ctx, job.Campaign, len(pending))
+	if err != nil {
+		return err
+	}
+	if reg != nil {
+		defer reg.close()
+	} else if tel := obs.Active(); tel != nil {
 		tel.Degraded.Set(1)
 		tel.Events.Emit("dispatch.degraded", map[string]string{"campaign": job.Campaign})
 		defer tel.Degraded.Set(0)
 	}
-
-	pending := resumeJournaled(job, tasks, j, s.Checkpoint, s.logf)
-	if len(pending) == 0 {
-		return ctx.Err()
-	}
-	return runShardSlots(ctx, pending, s.workers(), func(ctx context.Context, t task) error {
-		return s.runShard(ctx, job, t, j, pool, degraded)
+	return runShardSlots(ctx, pending, f.workers(), func(ctx context.Context, t task) error {
+		return f.runShard(ctx, job, t, j, reg)
 	})
 }
 
-// markShardsPlanned records a dispatcher's shard plan in telemetry.
-func markShardsPlanned(n int) {
-	if tel := obs.Active(); tel != nil {
+// start climbs down the degradation ladder and returns the registry
+// the campaign's shards go through: remote endpoints when any joins
+// within ConnectWait, else up to `pending` spawned workers, else nil —
+// shards run in-process.
+func (f *Fleet) start(ctx context.Context, campaignName string, pending int) (*registry, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if f.remote() {
+		reg, err := f.connect(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if reg.waitReady(ctx, f.connectWait()) {
+			return reg, nil
+		}
+		reg.close()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		next := "in-process execution"
+		if len(f.Command) > 0 {
+			next = "spawned workers"
+		}
+		f.logf("fleet: no workers reachable within %s; degrading to %s", f.connectWait(), next)
+		if tel := obs.Active(); tel != nil {
+			tel.Events.Emit("fleet.degraded", map[string]string{"campaign": campaignName})
+		}
+	}
+	if len(f.Command) == 0 {
+		return nil, nil
+	}
+	reg, err := f.spawnWorkers(ctx, min(f.workers(), pending))
+	if err != nil {
+		f.logf("dispatch: cannot spawn workers (%v); degrading to in-process execution", err)
+		return nil, nil
+	}
+	return reg, nil
+}
+
+// shardEvent is one kind of shard bookkeeping the dispatcher reports.
+type shardEvent int
+
+const (
+	shardsPlanned shardEvent = iota
+	shardResumed
+	shardDone
+	shardRetried
+)
+
+// tally fans the dispatcher's shard bookkeeping out to every sink that
+// reads it — registry counters, the stderr progress line and the live
+// /dash and /events view — so they cannot disagree. n is the shard
+// count for shardsPlanned and ignored otherwise.
+func tally(ev shardEvent, n int) {
+	tel := obs.Active()
+	if tel == nil {
+		return
+	}
+	switch ev {
+	case shardsPlanned:
 		tel.DispatchShards.Add(int64(n))
 		tel.ShardsPlanned.Add(int64(n))
 		tel.Progress.SetShards(n)
 		tel.Live.SetShards(n)
+	case shardResumed, shardDone:
+		if ev == shardResumed {
+			tel.DispatchResumed.Inc()
+		}
+		tel.DispatchDone.Inc()
+		tel.ShardsDone.Inc()
+		tel.Progress.ShardDone()
+		tel.Live.ShardDone()
+	case shardRetried:
+		tel.DispatchRetries.Inc()
+		tel.Progress.Retry()
+		tel.Live.Retry()
 	}
 }
 
 // resumeJournaled replays every journaled shard of the plan and
 // returns the pending remainder in plan order. The journal is keyed by
 // (campaign, plan hash, shard id) — pure functions of campaign
-// identity — so a checkpoint written under one dispatcher resumes
+// identity — so a checkpoint written under one endpoint kind resumes
 // under any other.
 func resumeJournaled(job campaign.PayloadJob, tasks []task, j *journal, checkpoint string, logf func(string, ...any)) []task {
 	if j == nil {
 		return tasks
 	}
-	tel := obs.Active()
 	pending := tasks[:0]
 	resumed := 0
 	for _, t := range tasks {
 		if payloads, ok := j.lookup(job.Campaign, hex64(job.PlanHash), hex64(t.id)); ok {
 			if replayShard(job, t, payloads) {
 				resumed++
-				if tel != nil {
-					tel.DispatchResumed.Inc()
-					tel.DispatchDone.Inc()
-					tel.ShardsDone.Inc()
-					tel.Progress.ShardDone()
-				}
+				tally(shardResumed, 0)
 				continue
 			}
 			logf("dispatch: journaled shard %s failed to replay; re-running it", hex64(t.id))
@@ -246,7 +389,7 @@ func resumeJournaled(job campaign.PayloadJob, tasks []task, j *journal, checkpoi
 	}
 	if resumed > 0 {
 		logf("dispatch: resumed %d/%d shards of %s from checkpoint %s", resumed, len(tasks), job.Campaign, checkpoint)
-		if tel != nil {
+		if tel := obs.Active(); tel != nil {
 			tel.Events.Emit("dispatch.resume", map[string]string{
 				"campaign": job.Campaign,
 				"shards":   strconv.Itoa(resumed),
@@ -364,40 +507,13 @@ func indicesMatch(payloads []runPayload, indices []int) bool {
 	return true
 }
 
-// runShard drives one shard to completion: dispatch (or execute in
-// process), verify, store, journal — retrying infrastructure failures
-// with backoff on a fresh worker until the attempt budget is gone.
-func (s *Subprocess) runShard(ctx context.Context, job campaign.PayloadJob, t task, j *journal, pool *workerPool, degraded bool) error {
-	rt := retrier{
-		attempts: s.attempts(),
-		base:     s.BackoffBase,
-		cap:      s.BackoffCap,
-		seed:     s.Seed,
-		logf:     s.logf,
-	}
-	return rt.runShard(ctx, job, t, j, func(ctx context.Context) ([]runPayload, error) {
-		if degraded {
-			return runShardInProcess(ctx, job, t, j != nil)
-		}
-		return s.runShardOnWorker(ctx, job, t, pool)
-	})
-}
-
-// retrier is the per-shard retry policy shared by the subprocess and
-// fleet dispatchers: attempt budget, capped exponential backoff with
-// deterministic jitter, permanent-vs-retryable classification, journal
-// append on success.
-type retrier struct {
-	attempts  int
-	base, cap time.Duration
-	seed      int64
-	logf      func(string, ...any)
-}
-
-// runShard drives one shard through attempt() until it succeeds, fails
-// permanently, or the budget is gone.
-func (rt retrier) runShard(ctx context.Context, job campaign.PayloadJob, t task, j *journal, try func(ctx context.Context) ([]runPayload, error)) error {
-	attempts := rt.attempts
+// runShard drives one shard to completion — each attempt dispatched
+// through the registry, or executed in process when degraded — then
+// journals it. Infrastructure failures are retried with capped
+// exponential backoff and deterministic jitter until the attempt
+// budget is gone; permanent failures abort at once.
+func (f *Fleet) runShard(ctx context.Context, job campaign.PayloadJob, t task, j *journal, reg *registry) error {
+	attempts := f.attempts()
 	tel := obs.Active()
 	var shardStart time.Time
 	if tel != nil {
@@ -409,7 +525,13 @@ func (rt retrier) runShard(ctx context.Context, job campaign.PayloadJob, t task,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payloads, err := try(ctx)
+		var payloads []runPayload
+		var err error
+		if reg == nil {
+			payloads, err = runShardInProcess(ctx, job, t, j != nil)
+		} else {
+			payloads, err = f.attemptShard(ctx, job, t, j != nil, reg)
+		}
 		if err == nil {
 			if j != nil {
 				if aerr := j.append(job.Campaign, hex64(job.PlanHash), hex64(t.id), payloads); aerr != nil {
@@ -417,22 +539,19 @@ func (rt retrier) runShard(ctx context.Context, job campaign.PayloadJob, t task,
 				}
 			}
 			if attempt > 1 {
-				rt.logf("dispatch: shard %s (%d runs) completed on attempt %d/%d", hex64(t.id), len(t.indices), attempt, attempts)
+				f.logf("dispatch: shard %s (%d runs) completed on attempt %d/%d", hex64(t.id), len(t.indices), attempt, attempts)
 			}
 			if tel != nil {
 				tel.ObserveShard(time.Since(shardStart).Seconds())
-				tel.DispatchDone.Inc()
-				tel.ShardsDone.Inc()
-				tel.Progress.ShardDone()
-				tel.Live.ShardDone()
 			}
+			tally(shardDone, 0)
 			return nil
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			// Classification is logged exactly once per failure, here:
 			// permanent failures never reach the retry loop below.
-			rt.logf("dispatch: shard %s: permanent failure (campaign-level error; re-dispatch cannot heal it): %v", hex64(t.id), err)
+			f.logf("dispatch: shard %s: permanent failure (campaign-level error; re-dispatch cannot heal it): %v", hex64(t.id), err)
 			if tel != nil {
 				tel.DispatchPermanent.Inc()
 				tel.Events.Emit("dispatch.permanent", map[string]string{
@@ -446,20 +565,19 @@ func (rt retrier) runShard(ctx context.Context, job campaign.PayloadJob, t task,
 		}
 		lastErr = err
 		if attempt < attempts {
-			d := campaign.BackoffDelay(rt.base, rt.cap, rt.seed, t.id, attempt)
+			d := campaign.BackoffDelay(f.BackoffBase, f.BackoffCap, f.Seed, t.id, attempt)
 			// The retryable classification (with the error) is logged on
 			// the shard's first failure only; later attempts log the
 			// bare retry so a flapping shard cannot flood the log.
 			if !classified {
 				classified = true
-				rt.logf("dispatch: shard %s attempt %d/%d failed: %v (classified retryable); retrying on a fresh worker in %s",
+				f.logf("dispatch: shard %s attempt %d/%d failed: %v (classified retryable); retrying on a fresh worker in %s",
 					hex64(t.id), attempt, attempts, err, d)
 			} else {
-				rt.logf("dispatch: shard %s attempt %d/%d failed; retrying in %s", hex64(t.id), attempt, attempts, d)
+				f.logf("dispatch: shard %s attempt %d/%d failed; retrying in %s", hex64(t.id), attempt, attempts, d)
 			}
+			tally(shardRetried, 0)
 			if tel != nil {
-				tel.DispatchRetries.Inc()
-				tel.Progress.Retry()
 				tel.Live.UpdateShard(obs.ShardStatus{
 					ID: hex64(t.id), State: "retrying",
 					Runs: len(t.indices), Attempts: attempt,
@@ -523,11 +641,23 @@ func runShardInProcess(ctx context.Context, job campaign.PayloadJob, t task, jou
 	return payloads, nil
 }
 
-// runShardOnWorker dispatches the shard to a pooled worker process and
-// stores the verified payloads. Transport failures (crash, hang,
-// corruption) are retryable; the worker that produced one is destroyed
-// so the retry lands on a fresh process.
-func (s *Subprocess) runShardOnWorker(ctx context.Context, job campaign.PayloadJob, t task, pool *workerPool) ([]runPayload, error) {
+// flight is one in-flight dispatch of a shard to one worker.
+type flight struct {
+	w      *workerConn
+	resp   response
+	err    error
+	wallMs int64 // round-trip time of this dispatch, for phase attribution
+}
+
+// attemptShard performs one attempt of one shard. The primary dispatch
+// goes to the first idle worker; if it is still unanswered after the
+// straggler deadline a duplicate goes to a second worker, and the first
+// valid (integrity-checked) result wins — the loser's payloads are
+// never stored, so duplication cannot change output. Workers that
+// produced transport errors or corrupt results are destroyed (their
+// endpoints reconnect or respawn fresh); healthy ones return to the
+// rotation. With every worker gone for good the shard runs in-process.
+func (f *Fleet) attemptShard(ctx context.Context, job campaign.PayloadJob, t task, journaling bool, reg *registry) ([]runPayload, error) {
 	tel := obs.Active()
 	trace := obs.TraceFromContext(ctx)
 	var sp *obs.Span
@@ -535,83 +665,157 @@ func (s *Subprocess) runShardOnWorker(ctx context.Context, job campaign.PayloadJ
 	if tel != nil {
 		start = time.Now()
 		sp = obs.SpanFromContext(ctx).Child("dispatch.shard", map[string]string{
-			"shard": hex64(t.id), "worker": "subprocess",
+			"shard": hex64(t.id), "worker": reg.kind,
 			"runs": strconv.Itoa(len(t.indices)),
 		})
 		defer sp.End()
 	}
-	w, err := pool.acquire()
+	w, err := reg.acquire(ctx, max(f.shardTimeout(), f.connectWait()))
 	if err != nil {
-		return nil, fmt.Errorf("spawning worker: %w", err)
+		if errors.Is(err, errNoWorkers) {
+			f.logf("fleet: no live workers; running shard %s in-process", hex64(t.id))
+			return runShardInProcess(ctx, job, t, journaling)
+		}
+		return nil, err
 	}
 	queueMs := int64(0)
 	if tel != nil {
 		queueMs = time.Since(start).Milliseconds()
-	}
-	req := request{
-		Seq:      s.seq.Add(1),
-		Campaign: job.Campaign,
-		PlanHash: hex64(job.PlanHash),
-		Shard:    hex64(t.id),
-		Indices:  t.indices,
-		Trace:    trace,
-		Span:     sp.ID(),
-	}
-	tripStart := time.Now()
-	resp, err := w.roundTrip(ctx, req, s.shardTimeout())
-	if err != nil {
-		pool.destroy(w)
-		return nil, err
-	}
-	payloads, err := verifyAndStore(job, t, resp)
-	if err != nil {
-		// A worker-reported campaign error is deterministic — the worker
-		// itself is healthy; anything else produced a corrupt result and
-		// the worker is not trusted again.
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			pool.release(w)
-		} else {
-			pool.destroy(w)
-		}
-		return nil, err
-	}
-	if tel != nil {
-		// Attribute the shard's wall time: queue (waiting for a worker
-		// slot), exec (the worker's own measurement, from its returned
-		// root span), net (round trip minus exec — framing, pipes and
-		// scheduling).
-		tripMs := time.Since(tripStart).Milliseconds()
-		execMs := obs.RootDurMs(resp.Spans)
-		netMs := tripMs - execMs
-		if netMs < 0 {
-			netMs = 0
-		}
-		sp.SetAttr("queue_ms", strconv.FormatInt(queueMs, 10))
-		sp.SetAttr("exec_ms", strconv.FormatInt(execMs, 10))
-		sp.SetAttr("net_ms", strconv.FormatInt(netMs, 10))
-		tel.Events.FoldSpans(sp, trace, resp.Spans)
-		tel.TraceWorkerSpans.Add(int64(len(resp.Spans)))
 		tel.Live.UpdateShard(obs.ShardStatus{
-			ID: hex64(t.id), Worker: workerID(w.cmd.Process.Pid),
-			State: "done", Runs: len(t.indices),
-			WallMs:  time.Since(start).Milliseconds(),
-			QueueMs: queueMs, ExecMs: execMs, NetMs: netMs,
+			ID: hex64(t.id), Worker: w.id, State: "running",
+			Runs: len(t.indices), QueueMs: queueMs,
 		})
 	}
-	pool.release(w)
-	return payloads, nil
+
+	results := make(chan flight, 2)
+	dispatch := func(w *workerConn) {
+		req := request{
+			Seq:      f.seq.Add(1),
+			Campaign: job.Campaign,
+			PlanHash: hex64(job.PlanHash),
+			Shard:    hex64(t.id),
+			Indices:  t.indices,
+			Trace:    trace,
+			Span:     sp.ID(),
+		}
+		tripStart := time.Now()
+		resp, err := w.roundTrip(ctx, req, f.shardTimeout())
+		results <- flight{w: w, resp: resp, err: err, wallMs: time.Since(tripStart).Milliseconds()}
+	}
+	inflight := 1
+	go dispatch(w)
+
+	var straggler *time.Timer
+	var stragglerC <-chan time.Time
+	if sa := f.stragglerAfter(); sa > 0 {
+		straggler = time.NewTimer(sa)
+		defer straggler.Stop()
+		stragglerC = straggler.C
+	}
+
+	var lastErr error
+	for inflight > 0 {
+		select {
+		case fl := <-results:
+			inflight--
+			if fl.err != nil {
+				reg.destroy(fl.w)
+				lastErr = fl.err
+				continue
+			}
+			payloads, verr := verifyAndStore(job, t, fl.resp)
+			if verr == nil {
+				if tel != nil {
+					// Attribute the winning flight: queue (waiting for a
+					// worker), exec (the worker's own root-span time), net
+					// (round trip minus exec — framing, pipes or TCP,
+					// scheduling).
+					execMs := obs.RootDurMs(fl.resp.Spans)
+					netMs := max(fl.wallMs-execMs, 0)
+					if reg.kind == "fleet" {
+						sp.SetAttr("worker_id", fl.w.id)
+					}
+					sp.SetAttr("queue_ms", strconv.FormatInt(queueMs, 10))
+					sp.SetAttr("exec_ms", strconv.FormatInt(execMs, 10))
+					sp.SetAttr("net_ms", strconv.FormatInt(netMs, 10))
+					tel.Events.FoldSpans(sp, trace, fl.resp.Spans)
+					tel.TraceWorkerSpans.Add(int64(len(fl.resp.Spans)))
+					tel.Live.UpdateShard(obs.ShardStatus{
+						ID: hex64(t.id), Worker: fl.w.id, State: "done",
+						Runs:    len(t.indices),
+						WallMs:  time.Since(start).Milliseconds(),
+						QueueMs: queueMs, ExecMs: execMs, NetMs: netMs,
+					})
+				}
+				reg.release(fl.w)
+				drainFlights(reg, results, inflight)
+				return payloads, nil
+			}
+			var perm *permanentError
+			if errors.As(verr, &perm) {
+				// Deterministic campaign failure: every duplicate would
+				// report the same thing. The worker itself is healthy.
+				reg.release(fl.w)
+				drainFlights(reg, results, inflight)
+				return nil, verr
+			}
+			// Corrupt result: drop the worker, keep waiting on the
+			// duplicate if one is racing.
+			reg.destroy(fl.w)
+			lastErr = verr
+		case <-stragglerC:
+			dup, ok := reg.tryAcquire()
+			if !ok {
+				// Every other worker is busy: look again shortly, so the
+				// duplicate goes out as soon as one frees up.
+				straggler.Reset(50 * time.Millisecond)
+				continue
+			}
+			stragglerC = nil
+			inflight++
+			f.logf("fleet: shard %s unanswered after %s; re-dispatching to %s", hex64(t.id), f.stragglerAfter(), dup.id)
+			if tel != nil {
+				tel.FleetStragglers.Inc()
+				tel.Events.Emit("fleet.straggler", map[string]string{
+					"shard": hex64(t.id), "worker": dup.id,
+				})
+				tel.Live.UpdateShard(obs.ShardStatus{
+					ID: hex64(t.id), Worker: dup.id, State: "retrying",
+					Runs: len(t.indices), QueueMs: queueMs,
+				})
+			}
+			go dispatch(dup)
+		case <-ctx.Done():
+			drainFlights(reg, results, inflight)
+			return nil, ctx.Err()
+		}
+	}
+	return nil, lastErr
 }
 
-// workerID names a subprocess worker in live views and span attributes.
-func workerID(pid int) string { return fmt.Sprintf("pid:%d", pid) }
+// drainFlights reaps abandoned duplicate dispatches in the background:
+// their results are discarded (never stored), their workers released
+// or destroyed by health.
+func drainFlights(reg *registry, results chan flight, inflight int) {
+	if inflight <= 0 {
+		return
+	}
+	go func() {
+		for i := 0; i < inflight; i++ {
+			fl := <-results
+			if fl.err != nil {
+				reg.destroy(fl.w)
+			} else {
+				reg.release(fl.w)
+			}
+		}
+	}()
+}
 
 // verifyAndStore checks one shard response end to end — worker-side
 // campaign error, index set, integrity hash — and stores its payloads.
 // A campaign-level error comes back as a permanentError; any mismatch
-// or decode failure is a retryable corruption. Shared by the
-// subprocess and fleet dispatchers so both enforce identical trust in
-// worker results.
+// or decode failure is a retryable corruption.
 func verifyAndStore(job campaign.PayloadJob, t task, resp response) ([]runPayload, error) {
 	if resp.Error != "" {
 		return nil, &permanentError{fmt.Errorf("worker reported: %s", resp.Error)}
@@ -633,191 +837,4 @@ func verifyAndStore(job campaign.PayloadJob, t task, resp response) ([]runPayloa
 		}
 	}
 	return resp.Results, nil
-}
-
-// workerPool hands out live worker processes to shard slots. A slot
-// returns a healthy worker with release (reused for the next shard)
-// and a suspect one with destroy (killed and reaped; the replacement
-// is spawned fresh). At most Workers processes are alive at once
-// because each slot holds at most one.
-type workerPool struct {
-	s    *Subprocess
-	mu   sync.Mutex
-	idle []*workerProc
-}
-
-func (p *workerPool) acquire() (*workerProc, error) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return w, nil
-	}
-	p.mu.Unlock()
-	return p.spawn()
-}
-
-func (p *workerPool) release(w *workerProc) {
-	p.mu.Lock()
-	p.idle = append(p.idle, w)
-	p.mu.Unlock()
-}
-
-func (p *workerPool) destroy(w *workerProc) { w.kill() }
-
-func (p *workerPool) closeAll() {
-	p.mu.Lock()
-	idle := p.idle
-	p.idle = nil
-	p.mu.Unlock()
-	for _, w := range idle {
-		w.kill()
-	}
-}
-
-func (p *workerPool) spawn() (*workerProc, error) {
-	s := p.s
-	cmd := exec.Command(s.Command[0], s.Command[1:]...)
-	cmd.Env = append(os.Environ(), s.Env...)
-	cmd.Stderr = s.WorkerStderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting worker %q: %w", s.Command[0], err)
-	}
-	w := &workerProc{
-		cmd:     cmd,
-		stdin:   stdin,
-		frames:  make(chan response, 1),
-		helloOK: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go w.read(stdout)
-	select {
-	case <-w.helloOK:
-		if tel := obs.Active(); tel != nil {
-			tel.WorkerSpawns.Inc()
-			tel.Events.Emit("dispatch.spawn", map[string]string{"pid": strconv.Itoa(cmd.Process.Pid)})
-			tel.Live.WorkerJoin(workerID(cmd.Process.Pid), cmd.Process.Pid)
-		}
-		return w, nil
-	case <-w.done:
-		w.kill()
-		return nil, fmt.Errorf("worker exited before hello: %v", w.err)
-	case <-time.After(helloTimeout):
-		w.kill()
-		return nil, fmt.Errorf("worker did not announce itself within %s", helloTimeout)
-	}
-}
-
-// workerProc is one live worker process plus its frame reader.
-type workerProc struct {
-	cmd     *exec.Cmd
-	stdin   io.WriteCloser
-	frames  chan response
-	helloOK chan struct{}
-	done    chan struct{}
-	killed  atomic.Bool
-	err     error
-	token   string
-}
-
-// read drains the worker's stdout: the hello frame first, then one
-// response per request, delivered on w.frames. Any read error (EOF
-// from a crash, garbage framing) ends the loop; w.err keeps the cause.
-func (w *workerProc) read(stdout io.Reader) {
-	defer close(w.done)
-	br := bufio.NewReader(stdout)
-	var h hello
-	if err := readFrame(br, &h); err != nil {
-		w.err = fmt.Errorf("reading hello: %w", err)
-		return
-	}
-	if h.Proto != protoVersion {
-		w.err = fmt.Errorf("worker speaks protocol %d, want %d", h.Proto, protoVersion)
-		return
-	}
-	w.token = h.Token
-	close(w.helloOK)
-	for {
-		var env envelope
-		if err := readFrame(br, &env); err != nil {
-			if err != io.EOF {
-				w.err = err
-			}
-			return
-		}
-		// Telemetry frames are merged as they arrive (the worker sends
-		// them ahead of the response they describe); only responses are
-		// handed to the shard slot. A worker sharing this process (its
-		// hello carried our own token) already counted its movement in
-		// our registry — merging it again would double count.
-		if env.Metrics != nil && w.token != obs.ProcessToken() {
-			if tel := obs.Active(); tel != nil {
-				tel.Reg.Merge(env.Metrics)
-			}
-		}
-		if env.Resp != nil {
-			w.frames <- *env.Resp
-		}
-	}
-}
-
-// roundTrip sends one shard request and waits for its response within
-// the deadline. A worker that crashes mid-shard surfaces here as a
-// closed frame stream ("worker crashed"); one that hangs surfaces as a
-// deadline overrun. Either way the caller destroys the worker.
-func (w *workerProc) roundTrip(ctx context.Context, req request, deadline time.Duration) (response, error) {
-	if err := writeFrame(w.stdin, req); err != nil {
-		return response{}, fmt.Errorf("worker crashed (request write failed: %v)", err)
-	}
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case resp := <-w.frames:
-		if resp.Seq != req.Seq || resp.Shard != req.Shard {
-			return response{}, fmt.Errorf("corrupted shard result (response for seq %d shard %s, want seq %d shard %s)",
-				resp.Seq, resp.Shard, req.Seq, req.Shard)
-		}
-		return resp, nil
-	case <-w.done:
-		state := "stream ended"
-		if ps := w.cmd.ProcessState; ps != nil {
-			state = ps.String()
-		}
-		if w.err != nil {
-			return response{}, fmt.Errorf("worker crashed mid-shard (%v)", w.err)
-		}
-		return response{}, fmt.Errorf("worker crashed mid-shard (%s)", state)
-	case <-timer.C:
-		return response{}, fmt.Errorf("worker hung (no response within %s)", deadline)
-	case <-ctx.Done():
-		return response{}, ctx.Err()
-	}
-}
-
-// kill tears the worker down hard and reaps it. Closing stdin first
-// lets a healthy worker exit on EOF; the Kill covers the rest.
-func (w *workerProc) kill() {
-	if w.killed.CompareAndSwap(false, true) {
-		if tel := obs.Active(); tel != nil {
-			tel.WorkerKills.Inc()
-			if w.cmd.Process != nil {
-				tel.Live.WorkerLost(workerID(w.cmd.Process.Pid))
-			}
-		}
-	}
-	w.stdin.Close()
-	if w.cmd.Process != nil {
-		w.cmd.Process.Kill()
-	}
-	<-w.done
-	w.cmd.Wait()
 }

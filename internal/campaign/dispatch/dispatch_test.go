@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -9,25 +8,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	dnet "repro/internal/campaign/dispatch/net"
+	"repro/internal/obs"
 )
 
 // The dispatcher tests re-exec this very test binary as the worker
 // process: TestMain diverts to the worker serve loop when the marker
-// environment variable is set, so the Subprocess executor is exercised
-// against real processes, real pipes and real SIGKILLs.
+// environment variable is set, so spawned-worker endpoints are
+// exercised against real processes, real pipes and real SIGKILLs.
+// The campaign's parameters arrive as the handshake spec (cubesSpec).
 const (
 	envWorker = "DISPATCH_TEST_WORKER"
-	envN      = "DISPATCH_TEST_N"
 	envMode   = "DISPATCH_TEST_MODE"
 	envMarker = "DISPATCH_TEST_MARKER"
-	envFailAt = "DISPATCH_TEST_FAIL_AT"
 )
 
 func TestMain(m *testing.M) {
@@ -92,8 +92,8 @@ func claim(path string) bool {
 	return true
 }
 
-// misbehavingWorker injects one process-level fault (self-SIGKILL or a
-// hang) before executing its first claimed run.
+// misbehavingWorker injects one process-level fault (self-SIGKILL,
+// self-SIGSTOP or a hang) before executing its first claimed run.
 type misbehavingWorker struct {
 	Worker
 	mode   string
@@ -114,52 +114,62 @@ func (m misbehavingWorker) ExecuteEncoded(ctx context.Context, i int) ([]byte, e
 			time.Sleep(time.Hour) // wait for the signal to land
 		case "hang":
 			time.Sleep(time.Hour) // never answer; the parent's deadline reaps us
+		case "sigstop":
+			syscall.Kill(os.Getpid(), syscall.SIGSTOP) // freezes the heartbeat too
+			time.Sleep(time.Hour)
 		}
 	}
 	return m.Worker.ExecuteEncoded(ctx, i)
 }
 
 func runTestWorker() {
-	n, _ := strconv.Atoi(os.Getenv(envN))
-	failAt := -1
-	if s := os.Getenv(envFailAt); s != "" {
-		failAt, _ = strconv.Atoi(s)
-	}
 	mode, marker := os.Getenv(envMode), os.Getenv(envMarker)
-	lookup := func(name string) (Worker, error) {
-		if name != "cubes" {
-			return nil, fmt.Errorf("test worker only serves cubes, not %q", name)
-		}
-		w, err := Adapt[int, int, string](cubes{n: n, failAt: failAt})
+	specFactory := cubesFactory(nil)
+	factory := func(ctx context.Context, spec string) (func(string) (Worker, error), error) {
+		lookup, err := specFactory(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
-		return misbehavingWorker{Worker: w, mode: mode, marker: marker}, nil
+		return func(name string) (Worker, error) {
+			w, err := lookup(name)
+			if err != nil {
+				return nil, err
+			}
+			return misbehavingWorker{Worker: w, mode: mode, marker: marker}, nil
+		}, nil
 	}
-	var err error
 	if mode == "corrupt" {
-		err = corruptServe(marker, lookup)
-	} else {
-		err = Serve(context.Background(), lookup, os.Stdin, os.Stdout)
+		if err := corruptServe(marker, factory); err != nil {
+			fmt.Fprintln(os.Stderr, "test worker:", err)
+			os.Exit(1)
+		}
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "test worker:", err)
-		os.Exit(1)
-	}
+	ServeStdio(context.Background(), factory)
 }
 
 // corruptServe answers its first claimed shard with a garbage payload
 // and a wrong integrity hash, then behaves properly.
-func corruptServe(marker string, lookup func(string) (Worker, error)) error {
-	bw := bufio.NewWriter(os.Stdout)
-	if err := writeFrame(bw, hello{Proto: protoVersion, PID: os.Getpid()}); err != nil {
+func corruptServe(marker string, factory LookupFactory) error {
+	c := dnet.NewConn(stdio{r: os.Stdin, w: os.Stdout}, nil, 0)
+	if err := c.WriteFrame(hello{Proto: protoVersion, PID: os.Getpid()}); err != nil {
 		return err
 	}
-	br := bufio.NewReader(os.Stdin)
+	var cfg netConfig
+	if err := c.ReadFrame(&cfg); err != nil {
+		return err
+	}
+	lookup, err := factory(context.Background(), cfg.Spec)
+	if err != nil {
+		return err
+	}
+	if err := c.WriteFrame(envelope{Resp: &response{}}); err != nil {
+		return err
+	}
 	workers := make(map[string]Worker)
 	for {
 		var req request
-		switch err := readFrame(br, &req); {
+		switch err := c.ReadFrame(&req); {
 		case err == io.EOF:
 			return nil
 		case err != nil:
@@ -172,24 +182,25 @@ func corruptServe(marker string, lookup func(string) (Worker, error)) error {
 				Results: []runPayload{{Index: req.Indices[0], Payload: []byte("garbage")}},
 				Hash:    hex64(0xdead),
 			}
-			if err := writeFrame(bw, envelope{Resp: &resp}); err != nil {
+			if err := c.WriteFrame(envelope{Resp: &resp}); err != nil {
 				return err
 			}
 			continue
 		}
 		resp := serveShard(context.Background(), workers, lookup, req)
-		if err := writeFrame(bw, envelope{Resp: &resp}); err != nil {
+		if err := c.WriteFrame(envelope{Resp: &resp}); err != nil {
 			return err
 		}
 	}
 }
 
-// subproc builds a Subprocess whose workers are this test binary.
-func subproc(t *testing.T, n int, extraEnv ...string) *Subprocess {
+// subproc builds a Fleet whose spawned workers are this test binary.
+func subproc(t *testing.T, n int, extraEnv ...string) *Fleet {
 	t.Helper()
-	return &Subprocess{
+	return &Fleet{
 		Command:      []string{os.Args[0]},
-		Env:          append([]string{envWorker + "=1", envN + "=" + strconv.Itoa(n)}, extraEnv...),
+		Env:          append([]string{envWorker + "=1"}, extraEnv...),
+		Spec:         cubesSpec(n, -1),
 		ShardTimeout: 30 * time.Second,
 		BackoffBase:  time.Millisecond,
 		BackoffCap:   4 * time.Millisecond,
@@ -232,7 +243,7 @@ func TestSubprocessInProcessMatchesSerial(t *testing.T) {
 	const n = 24
 	want := serialBaseline(t, n)
 	for _, shards := range []int{1, 2, 8} {
-		s := &Subprocess{Workers: 3, Shards: shards}
+		s := &Fleet{Workers: 3, Shards: shards}
 		got, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), s, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -249,7 +260,7 @@ func TestSubprocessInProcessMatchesSerial(t *testing.T) {
 func TestSubprocessDegradesWhenSpawningFails(t *testing.T) {
 	const n = 16
 	var log bytes.Buffer
-	s := &Subprocess{
+	s := &Fleet{
 		Command: []string{filepath.Join(t.TempDir(), "no-such-worker-binary")},
 		Workers: 2, Shards: 4, Log: &log,
 	}
@@ -304,6 +315,7 @@ func TestSubprocessReapsHungWorker(t *testing.T) {
 	s := subproc(t, n, envMode+"=hang", envMarker+"="+marker)
 	s.Workers, s.Shards, s.Retries, s.Log = 2, 8, 2, &log
 	s.ShardTimeout = 300 * time.Millisecond
+	s.StragglerAfter = -1 // isolate the deadline path from straggler re-dispatch
 
 	got, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), s, nil)
 	if err != nil {
@@ -345,7 +357,8 @@ func TestSubprocessRejectsCorruptResponses(t *testing.T) {
 func TestSubprocessAbortsOnDeterministicFailure(t *testing.T) {
 	const n = 24
 	var log bytes.Buffer
-	s := subproc(t, n, envFailAt+"=5")
+	s := subproc(t, n)
+	s.Spec = cubesSpec(n, 5)
 	s.Workers, s.Shards, s.Retries, s.Log = 2, 4, 3, &log
 
 	_, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), s, nil)
@@ -397,7 +410,7 @@ func TestSubprocessExhaustsRetriesWithDiagnostic(t *testing.T) {
 func TestSubprocessCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, s := range map[string]*Subprocess{
+	for name, s := range map[string]*Fleet{
 		"worker":    subproc(t, 16),
 		"inprocess": {Workers: 2, Shards: 4},
 	} {
@@ -405,5 +418,128 @@ func TestSubprocessCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+// TestSubprocessStragglerRedispatch pins straggler re-dispatch on
+// spawned workers: one child sits on its shard (its heartbeats keep the
+// pipe alive, so only the straggler policy can route around it), a
+// duplicate goes to the second child, and the first valid result wins
+// long before the shard deadline.
+func TestSubprocessStragglerRedispatch(t *testing.T) {
+	const n = 24
+	marker := filepath.Join(t.TempDir(), "hang.once")
+	var log bytes.Buffer
+	s := subproc(t, n, envMode+"=hang", envMarker+"="+marker)
+	s.Workers, s.Shards, s.Log = 2, 8, &log
+	s.StragglerAfter = 200 * time.Millisecond
+	s.ShardTimeout = 30 * time.Second
+
+	start := time.Now()
+	got, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), s, nil)
+	if err != nil {
+		t.Fatalf("campaign did not route around the straggling worker: %v\nlog:\n%s", err, log.String())
+	}
+	if want := serialBaseline(t, n); got != want {
+		t.Errorf("output diverged from serial with straggler re-dispatch\n got %s\nwant %s", got, want)
+	}
+	if elapsed := time.Since(start); elapsed > 15*time.Second {
+		t.Errorf("campaign took %s; the duplicate dispatch should beat the 30s shard deadline", elapsed)
+	}
+	if !strings.Contains(log.String(), "re-dispatching") {
+		t.Errorf("log does not record the straggler re-dispatch:\n%s", log.String())
+	}
+}
+
+// TestSubprocessHeartbeatDetectsStoppedWorker pins dead-peer detection
+// on pipes: the only child SIGSTOPs itself mid-shard, its heartbeats
+// stop with it, and the coordinator drops it after three missed beats —
+// long before the shard deadline — then kills, reaps and respawns it.
+// With a single worker slot the campaign can only finish on the
+// replacement.
+func TestSubprocessHeartbeatDetectsStoppedWorker(t *testing.T) {
+	const n = 24
+	marker := filepath.Join(t.TempDir(), "sigstop.once")
+	var log bytes.Buffer
+	s := subproc(t, n, envMode+"=sigstop", envMarker+"="+marker)
+	s.Workers, s.Shards, s.Retries, s.Log = 1, 8, 2, &log
+	s.Heartbeat = 200 * time.Millisecond
+	s.ShardTimeout = 30 * time.Second
+
+	start := time.Now()
+	got, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), s, nil)
+	if err != nil {
+		t.Fatalf("campaign did not survive the stopped worker: %v\nlog:\n%s", err, log.String())
+	}
+	if want := serialBaseline(t, n); got != want {
+		t.Errorf("output diverged from serial with a stopped worker\n got %s\nwant %s", got, want)
+	}
+	if elapsed := time.Since(start); elapsed > 15*time.Second {
+		t.Errorf("campaign took %s; heartbeat detection should beat the 30s shard deadline", elapsed)
+	}
+	logs := log.String()
+	if !strings.Contains(logs, "missed heartbeats") {
+		t.Errorf("log does not attribute the loss to missed heartbeats:\n%s", logs)
+	}
+	if strings.Contains(logs, "in-process") {
+		t.Errorf("the shard ran in-process instead of on a respawned worker:\n%s", logs)
+	}
+}
+
+// liveCubes is the cubes campaign with a probe in Reduce: the engine
+// reduces before it retires the campaign from the live view, so the
+// snapshot taken there is the final state /dash and /events show.
+type liveCubes struct {
+	cubes
+	snap *obs.Snapshot
+}
+
+func (c liveCubes) Reduce(plan []int, results []int) (string, error) {
+	*c.snap = obs.Active().Live.Snapshot()
+	return c.cubes.Reduce(plan, results)
+}
+
+// TestResumeLiveProgressCountsEveryShard pins the dispatcher's progress
+// fan-out: on a half-journaled campaign resumed with telemetry on, the
+// live view counts replayed shards as done (ending at shards_done ==
+// shards_total), and a forced shard retry shows up in its retries just
+// as it does on the stderr progress line.
+func TestResumeLiveProgressCountsEveryShard(t *testing.T) {
+	const n = 32
+	prev := obs.Install(obs.New(obs.Config{}))
+	defer obs.Install(prev)
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+
+	first := &Fleet{Workers: 1, Shards: 8, Checkpoint: ckpt, Retries: -1}
+	if _, err := campaign.Execute[int, int, string](context.Background(), cubes{n: n, failAt: 19}, first, nil); err == nil {
+		t.Fatal("first invocation should have aborted at run 19")
+	}
+
+	// The resume runs on spawned workers, one of which SIGKILLs itself
+	// mid-shard once: the shard retries on a fresh worker.
+	marker := filepath.Join(t.TempDir(), "sigkill.once")
+	var log bytes.Buffer
+	s := subproc(t, n, envMode+"=sigkill", envMarker+"="+marker)
+	s.Workers, s.Shards, s.Retries, s.Checkpoint, s.Log = 2, 8, 2, ckpt, &log
+	var snap obs.Snapshot
+	got, err := campaign.Execute[int, int, string](context.Background(), liveCubes{cubes: newCubes(n), snap: &snap}, s, nil)
+	if err != nil {
+		t.Fatalf("resume: %v\nlog:\n%s", err, log.String())
+	}
+	if want := serialBaseline(t, n); got != want {
+		t.Errorf("resumed output diverged from serial\n got %s\nwant %s", got, want)
+	}
+	if !strings.Contains(log.String(), "resumed") || !strings.Contains(log.String(), "retrying") {
+		t.Fatalf("the campaign neither resumed nor retried a shard; the test exercised nothing:\n%s", log.String())
+	}
+	c := snap.Campaign
+	if c == nil {
+		t.Fatal("live view has no current campaign at reduce time")
+	}
+	if c.ShardsTotal == 0 || c.ShardsDone != c.ShardsTotal {
+		t.Errorf("live view ends at %d/%d shards; resumed shards must count as done", c.ShardsDone, c.ShardsTotal)
+	}
+	if c.Retries < 1 {
+		t.Errorf("live view shows %d retries; the forced shard retry is missing", c.Retries)
 	}
 }

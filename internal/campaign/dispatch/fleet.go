@@ -2,15 +2,15 @@ package dispatch
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
+	"os"
+	"os/exec"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -18,501 +18,153 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultConnectWait bounds how long a Fleet waits for its first
-// worker before degrading to local execution.
-const DefaultConnectWait = 10 * time.Second
+// helloTimeout bounds a fresh connection's handshake: a worker that has
+// not announced itself and acknowledged the spec within it is dropped.
+// Heartbeats only start once the handshake is done, so the dead-peer
+// deadline cannot bound this phase.
+const helloTimeout = 30 * time.Second
 
-// errNoWorkers reports that the fleet stayed empty past its patience:
-// the shard runs in-process instead.
+// errNoWorkers reports that the registry stayed empty past its
+// patience: the shard runs in-process instead.
 var errNoWorkers = errors.New("no live fleet workers")
 
-// Fleet is a campaign.PayloadExecutor that balances shards across a
-// fleet of networked worker agents (ServeNet / DialAndServe peers).
-// The partition, wire frames, integrity checks and checkpoint journal
-// are exactly the subprocess dispatcher's, so output stays
-// byte-identical to Serial and a journal written under one transport
-// resumes under the other.
-//
-// Hardening on top of Subprocess's per-shard deadline/retry/integrity
-// machinery:
-//
-//   - workers heartbeat while connected (even mid-shard), so a dead
-//     connection is detected after ~3 missed beats instead of the full
-//     shard deadline; lost workers are re-dialed with capped backoff
-//     and rejoin the rotation;
-//   - a shard still unanswered after StragglerAfter is re-dispatched
-//     to a second idle worker; the first integrity-checked result wins
-//     and the loser is discarded deterministically (its payloads are
-//     never stored);
-//   - an empty fleet degrades gracefully: at campaign start to the
-//     Fallback subprocess dispatcher (or in-process execution), and
-//     mid-campaign — every worker gone, none returning — each waiting
-//     shard runs in-process rather than stalling the campaign.
-type Fleet struct {
-	// Addrs lists worker agent endpoints to dial (host:port).
-	Addrs []string
-	// Listen, when non-empty, also accepts incoming worker
-	// registrations (DialAndServe agents) on this address.
-	Listen string
-	// Spec is the opaque campaign spec shipped to every worker at
-	// handshake (the experiment layer's encoded WorkerSpec).
-	Spec string
-	// TLS wraps dialed worker connections when non-nil; ListenTLS the
-	// accepted ones.
-	TLS, ListenTLS *tls.Config
-	// Tap, when non-nil, intercepts every frame on every connection —
-	// the chaos seam.
-	Tap dnet.Tap
-	// Workers bounds how many shards are in flight at once (>= 1).
-	Workers int
-	// Shards is the partition width (0 selects campaign.DefaultShards).
-	Shards int
-	// ShardTimeout is the per-shard deadline (0 selects
-	// DefaultShardTimeout).
-	ShardTimeout time.Duration
-	// Heartbeat is the worker ping interval (0 selects
-	// DefaultHeartbeat; negative disables heartbeats and dead-peer
-	// read deadlines).
-	Heartbeat time.Duration
-	// StragglerAfter is how long a shard may stay unanswered before a
-	// duplicate is dispatched to another worker (0 selects half the
-	// shard deadline; negative disables straggler re-dispatch).
-	StragglerAfter time.Duration
-	// Retries is how many times a failed shard is re-dispatched after
-	// its first attempt (0 selects campaign.DefaultAttempts-1;
-	// negative disables retries).
-	Retries int
-	// BackoffBase and BackoffCap shape retry and reconnect backoff
-	// (zero selects the campaign package defaults).
-	BackoffBase, BackoffCap time.Duration
-	// Seed feeds the deterministic backoff jitter.
-	Seed int64
-	// Checkpoint, when non-empty, names the shard journal enabling
-	// crash/resume — the same journal format as Subprocess.
-	Checkpoint string
-	// ConnectWait is how long to wait for the first worker before
-	// degrading (0 selects DefaultConnectWait).
-	ConnectWait time.Duration
-	// Fallback carries the subprocess configuration (Command, Env,
-	// WorkerStderr) used when the fleet is empty; nil degrades straight
-	// to in-process execution. Scheduling fields are copied from the
-	// Fleet either way.
-	Fallback *Subprocess
-	// Log receives coordinator diagnostics (nil discards them).
-	Log io.Writer
-
-	logMu sync.Mutex
-	seq   atomic.Uint64
-	// trace is the running campaign's trace id, captured from the
-	// context at RunPayload entry (before connection goroutines start)
-	// so handshakes can announce it to joining workers.
-	trace string
-}
-
-func (f *Fleet) workers() int {
-	if f.Workers < 1 {
-		return 1
-	}
-	return f.Workers
-}
-
-func (f *Fleet) shards() int {
-	if f.Shards < 1 {
-		return campaign.DefaultShards
-	}
-	return f.Shards
-}
-
-func (f *Fleet) shardTimeout() time.Duration {
-	if f.ShardTimeout <= 0 {
-		return DefaultShardTimeout
-	}
-	return f.ShardTimeout
-}
-
-func (f *Fleet) attempts() int {
-	switch {
-	case f.Retries < 0:
-		return 1
-	case f.Retries == 0:
-		return campaign.DefaultAttempts
-	default:
-		return f.Retries + 1
-	}
-}
-
-func (f *Fleet) heartbeat() time.Duration {
-	switch {
-	case f.Heartbeat < 0:
-		return 0
-	case f.Heartbeat == 0:
-		return DefaultHeartbeat
-	default:
-		return f.Heartbeat
-	}
-}
-
-// deadAfter is the read deadline on coordinator-side connections:
-// three missed heartbeats mean the worker (or the path to it) is gone.
-func (f *Fleet) deadAfter() time.Duration {
-	hb := f.heartbeat()
-	if hb == 0 {
-		return 0
-	}
-	return 3 * hb
-}
-
-func (f *Fleet) stragglerAfter() time.Duration {
-	switch {
-	case f.StragglerAfter < 0:
-		return 0
-	case f.StragglerAfter == 0:
-		return f.shardTimeout() / 2
-	default:
-		return f.StragglerAfter
-	}
-}
-
-func (f *Fleet) connectWait() time.Duration {
-	if f.ConnectWait <= 0 {
-		return DefaultConnectWait
-	}
-	return f.ConnectWait
-}
-
-func (f *Fleet) Name() string {
-	endpoints := len(f.Addrs)
-	if f.Listen != "" {
-		endpoints++
-	}
-	return fmt.Sprintf("fleet(workers=%d,shards=%d,endpoints=%d)", f.workers(), f.shards(), endpoints)
-}
-
-func (f *Fleet) logf(format string, args ...any) {
-	if f.Log == nil {
-		return
-	}
-	f.logMu.Lock()
-	fmt.Fprintf(f.Log, format+"\n", args...)
-	f.logMu.Unlock()
-}
-
-// Run is the plain executor path, used when a campaign has no wire
-// codec: nothing can cross a process boundary, so it executes on the
-// in-process sharded pool with the same partition.
-func (f *Fleet) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
-	return campaign.Sharded{Workers: f.workers(), Shards: f.Shards}.Run(ctx, n, keys, fn)
-}
-
-// fallback builds the executor an empty fleet degrades to: the
-// configured Fallback subprocess dispatcher with the Fleet's
-// scheduling fields, or a bare in-process Subprocess when none is
-// configured.
-func (f *Fleet) fallback() *Subprocess {
-	fb := &Subprocess{}
-	if f.Fallback != nil {
-		fb.Command = f.Fallback.Command
-		fb.Env = f.Fallback.Env
-		fb.WorkerStderr = f.Fallback.WorkerStderr
-	}
-	fb.Workers = f.Workers
-	fb.Shards = f.Shards
-	fb.ShardTimeout = f.ShardTimeout
-	fb.Retries = f.Retries
-	fb.BackoffBase = f.BackoffBase
-	fb.BackoffCap = f.BackoffCap
-	fb.Seed = f.Seed
-	fb.Checkpoint = f.Checkpoint
-	fb.Log = f.Log
-	return fb
-}
-
-// RunPayload executes the campaign's plan across the fleet: connect to
-// the workers, resume journaled shards, then balance the rest over the
-// live connections with per-shard retries and straggler re-dispatch.
-// With no reachable worker the whole campaign degrades to the fallback
-// dispatcher — same partition, same journal, same output.
-func (f *Fleet) RunPayload(ctx context.Context, job campaign.PayloadJob) error {
-	f.trace = obs.TraceFromContext(ctx)
-	reg, err := f.connect(ctx)
-	if err != nil {
-		return err
-	}
-	defer reg.close()
-	if !reg.waitReady(ctx, f.connectWait()) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		reg.close()
-		fb := f.fallback()
-		f.logf("fleet: no workers reachable within %s; degrading to %s", f.connectWait(), fb.Name())
-		if tel := obs.Active(); tel != nil {
-			tel.Events.Emit("fleet.degraded", map[string]string{"campaign": job.Campaign})
-		}
-		return fb.RunPayload(ctx, job)
-	}
-
-	tasks := partition(job, f.shards())
-	markShardsPlanned(len(tasks))
-
-	var j *journal
-	if f.Checkpoint != "" {
-		if j, err = openJournal(f.Checkpoint); err != nil {
-			return err
-		}
-		defer j.close()
-	}
-	pending := resumeJournaled(job, tasks, j, f.Checkpoint, f.logf)
-	if len(pending) == 0 {
-		return ctx.Err()
-	}
-	return runShardSlots(ctx, pending, f.workers(), func(ctx context.Context, t task) error {
-		return f.runShard(ctx, job, t, j, reg)
-	})
-}
-
-// runShard drives one shard through the shared retry policy, each
-// attempt going to the fleet (with straggler duplication) or — when
-// the fleet has emptied out — running in-process.
-func (f *Fleet) runShard(ctx context.Context, job campaign.PayloadJob, t task, j *journal, reg *fleetRegistry) error {
-	rt := retrier{
-		attempts: f.attempts(),
-		base:     f.BackoffBase,
-		cap:      f.BackoffCap,
-		seed:     f.Seed,
-		logf:     f.logf,
-	}
-	return rt.runShard(ctx, job, t, j, func(ctx context.Context) ([]runPayload, error) {
-		return f.attemptShard(ctx, job, t, j != nil, reg)
-	})
-}
-
-// flight is one in-flight dispatch of a shard to one worker.
-type flight struct {
-	w      *netWorker
-	resp   response
-	err    error
-	wallMs int64 // round-trip time of this dispatch, for phase attribution
-}
-
-// attemptShard performs one attempt of one shard against the fleet.
-// The primary dispatch goes to the first idle worker; if it is still
-// unanswered after the straggler deadline a duplicate goes to a second
-// worker, and the first valid (integrity-checked) result wins — the
-// loser's payloads are never stored, so duplication cannot change
-// output. Workers that produced transport errors or corrupt results
-// are destroyed (their dial loops reconnect fresh); healthy ones
-// return to the rotation.
-func (f *Fleet) attemptShard(ctx context.Context, job campaign.PayloadJob, t task, journaling bool, reg *fleetRegistry) ([]runPayload, error) {
-	tel := obs.Active()
-	trace := obs.TraceFromContext(ctx)
-	var sp *obs.Span
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-		sp = obs.SpanFromContext(ctx).Child("dispatch.shard", map[string]string{
-			"shard": hex64(t.id), "worker": "fleet",
-			"runs": strconv.Itoa(len(t.indices)),
-		})
-		defer sp.End()
-	}
-	w, err := reg.acquire(ctx, f.shardTimeout())
-	if err != nil {
-		if errors.Is(err, errNoWorkers) {
-			f.logf("fleet: no live workers; running shard %s in-process", hex64(t.id))
-			return runShardInProcess(ctx, job, t, journaling)
-		}
-		return nil, err
-	}
-	queueMs := int64(0)
-	if tel != nil {
-		queueMs = time.Since(start).Milliseconds()
-		tel.Live.UpdateShard(obs.ShardStatus{
-			ID: hex64(t.id), Worker: w.id, State: "running",
-			Runs: len(t.indices), QueueMs: queueMs,
-		})
-	}
-
-	results := make(chan flight, 2)
-	dispatch := func(w *netWorker) {
-		req := request{
-			Seq:      f.seq.Add(1),
-			Campaign: job.Campaign,
-			PlanHash: hex64(job.PlanHash),
-			Shard:    hex64(t.id),
-			Indices:  t.indices,
-			Trace:    trace,
-			Span:     sp.ID(),
-		}
-		tripStart := time.Now()
-		resp, err := w.roundTrip(ctx, req, f.shardTimeout())
-		results <- flight{w: w, resp: resp, err: err, wallMs: time.Since(tripStart).Milliseconds()}
-	}
-	inflight := 1
-	go dispatch(w)
-
-	var stragglerC <-chan time.Time
-	if sa := f.stragglerAfter(); sa > 0 {
-		timer := time.NewTimer(sa)
-		defer timer.Stop()
-		stragglerC = timer.C
-	}
-
-	var lastErr error
-	for inflight > 0 {
-		select {
-		case fl := <-results:
-			inflight--
-			if fl.err != nil {
-				reg.destroy(fl.w)
-				lastErr = fl.err
-				continue
-			}
-			payloads, verr := verifyAndStore(job, t, fl.resp)
-			if verr == nil {
-				if tel != nil {
-					// Attribute the winning flight: queue (waiting for a
-					// worker), exec (the worker's own root-span time), net
-					// (round trip minus exec — framing, TCP, scheduling).
-					execMs := obs.RootDurMs(fl.resp.Spans)
-					netMs := fl.wallMs - execMs
-					if netMs < 0 {
-						netMs = 0
-					}
-					sp.SetAttr("worker_id", fl.w.id)
-					sp.SetAttr("queue_ms", strconv.FormatInt(queueMs, 10))
-					sp.SetAttr("exec_ms", strconv.FormatInt(execMs, 10))
-					sp.SetAttr("net_ms", strconv.FormatInt(netMs, 10))
-					tel.Events.FoldSpans(sp, trace, fl.resp.Spans)
-					tel.TraceWorkerSpans.Add(int64(len(fl.resp.Spans)))
-					tel.Live.UpdateShard(obs.ShardStatus{
-						ID: hex64(t.id), Worker: fl.w.id, State: "done",
-						Runs:    len(t.indices),
-						WallMs:  time.Since(start).Milliseconds(),
-						QueueMs: queueMs, ExecMs: execMs, NetMs: netMs,
-					})
-				}
-				reg.release(fl.w)
-				drainFlights(reg, results, inflight)
-				return payloads, nil
-			}
-			var perm *permanentError
-			if errors.As(verr, &perm) {
-				// Deterministic campaign failure: every duplicate would
-				// report the same thing. The worker itself is healthy.
-				reg.release(fl.w)
-				drainFlights(reg, results, inflight)
-				return nil, verr
-			}
-			// Corrupt result: drop the worker, keep waiting on the
-			// duplicate if one is racing.
-			reg.destroy(fl.w)
-			lastErr = verr
-		case <-stragglerC:
-			stragglerC = nil
-			if dup, ok := reg.tryAcquire(); ok {
-				inflight++
-				f.logf("fleet: shard %s unanswered after %s; re-dispatching to %s", hex64(t.id), f.stragglerAfter(), dup.id)
-				if tel != nil {
-					tel.FleetStragglers.Inc()
-					tel.Events.Emit("fleet.straggler", map[string]string{
-						"shard": hex64(t.id), "worker": dup.id,
-					})
-					tel.Live.UpdateShard(obs.ShardStatus{
-						ID: hex64(t.id), Worker: dup.id, State: "retrying",
-						Runs: len(t.indices), QueueMs: queueMs,
-					})
-				}
-				go dispatch(dup)
-			}
-		case <-ctx.Done():
-			drainFlights(reg, results, inflight)
-			return nil, ctx.Err()
-		}
-	}
-	return nil, lastErr
-}
-
-// drainFlights reaps abandoned duplicate dispatches in the background:
-// their results are discarded (never stored), their workers released
-// or destroyed by health.
-func drainFlights(reg *fleetRegistry, results chan flight, inflight int) {
-	if inflight <= 0 {
-		return
-	}
-	go func() {
-		for i := 0; i < inflight; i++ {
-			fl := <-results
-			if fl.err != nil {
-				reg.destroy(fl.w)
-			} else {
-				reg.release(fl.w)
-			}
-		}
-	}()
-}
-
-// connect starts the fleet's connection machinery: one dial loop per
-// configured address (reconnecting with capped backoff for as long as
-// the campaign runs) and, when Listen is set, an accept loop for
-// incoming worker registrations.
-func (f *Fleet) connect(ctx context.Context) (*fleetRegistry, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	reg := &fleetRegistry{
-		f:      f,
-		cancel: cancel,
-		notify: make(chan struct{}, 1),
-		all:    make(map[*netWorker]struct{}),
-	}
+// connect starts the remote endpoints: one dial loop per configured
+// address (reconnecting with capped backoff for as long as the
+// campaign runs) and, when Listen is set, an accept loop for incoming
+// worker registrations.
+func (f *Fleet) connect(ctx context.Context) (*registry, error) {
+	reg := newRegistry(ctx, f, "fleet")
 	if f.Listen != "" {
 		l, err := dnet.Listen(f.Listen, f.ListenTLS)
 		if err != nil {
-			cancel()
+			reg.close()
 			return nil, fmt.Errorf("fleet: cannot listen on %s: %w", f.Listen, err)
 		}
 		f.logf("fleet: accepting worker registrations on %s", l.Addr())
-		go func() {
-			<-ctx.Done()
-			l.Close()
-		}()
+		context.AfterFunc(reg.ctx, func() { l.Close() })
 		reg.wg.Add(1)
-		go reg.acceptLoop(ctx, l)
+		go reg.acceptLoop(l)
 	}
 	for _, addr := range f.Addrs {
-		reg.wg.Add(1)
-		go reg.dialLoop(ctx, addr)
+		joined := false
+		reg.keep(addr, nil, func(ctx context.Context) (*workerConn, error) {
+			c, err := dnet.Dial(ctx, addr, f.TLS, f.Tap, 0)
+			if err != nil {
+				return nil, err
+			}
+			w, err := f.handshake(ctx, c, addr)
+			if err != nil {
+				return nil, err
+			}
+			if joined {
+				f.logf("fleet: reconnected to worker %s (pid %d)", addr, w.pid)
+				if tel := obs.Active(); tel != nil {
+					tel.FleetReconnects.Inc()
+					tel.Events.Emit("fleet.reconnect", map[string]string{"worker": addr})
+				}
+			} else {
+				f.logf("fleet: worker %s joined (pid %d)", addr, w.pid)
+				joined = true
+			}
+			return w, nil
+		})
 	}
 	return reg, nil
 }
 
+// spawnWorkers starts n worker-process endpoints. The first worker is
+// spawned before this returns: if it cannot be (missing binary, fork
+// limits, sandbox) the error comes back and the campaign degrades to
+// in-process execution instead of failing.
+func (f *Fleet) spawnWorkers(ctx context.Context, n int) (*registry, error) {
+	reg := newRegistry(ctx, f, "subprocess")
+	first, err := f.spawn(reg.ctx)
+	if err != nil {
+		reg.close()
+		return nil, err
+	}
+	for k := 0; k < n; k++ {
+		reg.keep("child#"+strconv.Itoa(k), first, f.spawn)
+		first = nil
+	}
+	return reg, nil
+}
+
+// spawn starts one worker process and handshakes it over its
+// stdin/stdout pipes.
+func (f *Fleet) spawn(ctx context.Context) (*workerConn, error) {
+	childIn, toChild, err := os.Pipe()
+	if err != nil {
+		return nil, err
+	}
+	fromChild, childOut, err := os.Pipe()
+	if err != nil {
+		childIn.Close()
+		toChild.Close()
+		return nil, err
+	}
+	cmd := exec.Command(f.Command[0], f.Command[1:]...)
+	cmd.Env = append(os.Environ(), f.Env...)
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = childIn, childOut, f.WorkerStderr
+	err = cmd.Start()
+	childIn.Close()
+	childOut.Close()
+	c := dnet.NewConn(stdio{r: fromChild, w: toChild}, f.Tap, 0)
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("starting worker %q: %w", f.Command[0], err)
+	}
+	w, err := f.handshake(ctx, c, workerID(cmd.Process.Pid))
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		return nil, err
+	}
+	w.proc = cmd
+	return w, nil
+}
+
+// workerID names a spawned worker in logs, live views and span
+// attributes.
+func workerID(pid int) string { return fmt.Sprintf("pid:%d", pid) }
+
 // handshake completes the coordinator side on a fresh connection:
 // hello in, spec and heartbeat interval out, spec ack in. The returned
-// worker has its frame reader running.
-func (f *Fleet) handshake(c *dnet.Conn, id string) (*netWorker, error) {
+// worker has its frame reader running; on failure the connection is
+// closed. Canceling ctx aborts a pending handshake.
+func (f *Fleet) handshake(ctx context.Context, c *dnet.Conn, id string) (*workerConn, error) {
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	defer stop()
+	fail := func(format string, args ...any) (*workerConn, error) {
+		c.Close()
+		return nil, fmt.Errorf(format, args...)
+	}
+	c.SetReadTimeout(helloTimeout)
 	var h hello
 	if err := c.ReadFrame(&h); err != nil {
-		return nil, fmt.Errorf("reading hello: %w", err)
+		return fail("reading hello: %w", err)
 	}
 	if h.Proto != protoVersion {
-		return nil, fmt.Errorf("worker speaks protocol %d, want %d", h.Proto, protoVersion)
+		return fail("worker speaks protocol %d, want %d", h.Proto, protoVersion)
 	}
 	if err := c.WriteFrame(netConfig{Spec: f.Spec, HeartbeatMs: f.heartbeat().Milliseconds(), Trace: f.trace}); err != nil {
-		return nil, fmt.Errorf("sending spec: %w", err)
+		return fail("sending spec: %w", err)
 	}
 	for {
 		var env envelope
 		if err := c.ReadFrame(&env); err != nil {
-			return nil, fmt.Errorf("reading spec ack: %w", err)
+			return fail("reading spec ack: %w", err)
 		}
 		if env.Resp == nil {
 			continue // tolerate early pings
 		}
 		if env.Resp.Error != "" {
-			return nil, fmt.Errorf("worker rejected spec: %s", env.Resp.Error)
+			return fail("worker rejected spec: %s", env.Resp.Error)
 		}
 		break
 	}
-	w := &netWorker{
+	c.SetReadTimeout(f.deadAfter())
+	w := &workerConn{
 		id:     id,
 		pid:    h.PID,
 		token:  h.Token,
@@ -524,12 +176,13 @@ func (f *Fleet) handshake(c *dnet.Conn, id string) (*netWorker, error) {
 	return w, nil
 }
 
-// netWorker is one live worker connection plus its frame reader.
-type netWorker struct {
+// workerConn is one live worker connection plus its frame reader.
+type workerConn struct {
 	id     string
 	pid    int
 	token  string
 	conn   *dnet.Conn
+	proc   *exec.Cmd // the spawned process; nil for network agents
 	frames chan response
 	done   chan struct{}
 	err    error
@@ -538,9 +191,9 @@ type netWorker struct {
 // read drains the connection: telemetry deltas are merged as they
 // arrive, responses delivered to the shard slot, pings consumed (each
 // arriving frame refreshes the read deadline, which is the liveness
-// check). Any read error — including the missed-heartbeat deadline —
-// ends the loop; w.err keeps the cause.
-func (w *netWorker) read() {
+// check). Any read error — EOF from a crashed worker, the
+// missed-heartbeat deadline — ends the loop; w.err keeps the cause.
+func (w *workerConn) read() {
 	defer close(w.done)
 	for {
 		var env envelope
@@ -573,12 +226,13 @@ func (w *netWorker) read() {
 }
 
 // roundTrip sends one shard request and waits for its response within
-// the deadline. A connection that dies mid-shard surfaces via w.done
-// (heartbeat deadline or EOF); a worker that hangs while pinging
-// surfaces as the deadline overrun.
-func (w *netWorker) roundTrip(ctx context.Context, req request, deadline time.Duration) (response, error) {
+// the deadline. A connection that dies mid-shard (EOF from a crashed
+// process, the heartbeat deadline of a stopped or partitioned one)
+// surfaces via w.done; a worker that hangs while pinging surfaces as
+// the deadline overrun.
+func (w *workerConn) roundTrip(ctx context.Context, req request, deadline time.Duration) (response, error) {
 	if err := w.conn.WriteFrame(req); err != nil {
-		return response{}, fmt.Errorf("worker %s connection lost (request write failed: %v)", w.id, err)
+		return response{}, fmt.Errorf("worker crashed mid-shard (%s: request write failed: %v)", w.id, err)
 	}
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
@@ -590,25 +244,27 @@ func (w *netWorker) roundTrip(ctx context.Context, req request, deadline time.Du
 		}
 		return resp, nil
 	case <-w.done:
-		if w.err != nil {
-			return response{}, fmt.Errorf("worker %s connection lost mid-shard (%v)", w.id, w.err)
-		}
-		return response{}, fmt.Errorf("worker %s connection closed mid-shard", w.id)
+		return response{}, fmt.Errorf("worker crashed mid-shard (%s: connection lost: %s)", w.id, errString(w.err))
 	case <-timer.C:
-		return response{}, fmt.Errorf("worker %s hung (no response within %s)", w.id, deadline)
+		return response{}, fmt.Errorf("worker hung (no response within %s from %s)", deadline, w.id)
 	case <-ctx.Done():
 		return response{}, ctx.Err()
 	}
 }
 
-// close tears the connection down and waits for the reader to finish.
-func (w *netWorker) close() {
+// close tears the connection down and waits for the reader to finish;
+// a spawned worker is then killed and reaped.
+func (w *workerConn) close() {
 	w.conn.Close()
 	<-w.done
+	if w.proc != nil {
+		w.proc.Process.Kill()
+		w.proc.Wait()
+	}
 }
 
 // dead reports whether the worker's connection has ended.
-func (w *netWorker) dead() bool {
+func (w *workerConn) dead() bool {
 	select {
 	case <-w.done:
 		return true
@@ -617,24 +273,40 @@ func (w *netWorker) dead() bool {
 	}
 }
 
-// fleetRegistry tracks the fleet's live worker connections and hands
-// idle ones to shard slots. Dial loops own their workers' lifecycles
-// (add on handshake, remove on death, reconnect after); incoming
-// registrations live until their connection drops.
-type fleetRegistry struct {
-	f      *Fleet
+// registry tracks a campaign's live worker connections and hands idle
+// ones to shard slots. Endpoint loops own their workers' lifecycles:
+// add on handshake, remove and tear down on death, then reconnect or
+// respawn (dialed and spawned endpoints) or forget (registrations).
+type registry struct {
+	f *Fleet
+	// kind labels the endpoints ("fleet" or "subprocess") on
+	// dispatch.shard spans.
+	kind   string
+	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	notify chan struct{}
 
 	mu     sync.Mutex
-	idle   []*netWorker
-	all    map[*netWorker]struct{}
+	idle   []*workerConn
+	all    map[*workerConn]struct{}
 	live   int
 	closed bool
 }
 
-func (r *fleetRegistry) wake() {
+func newRegistry(ctx context.Context, f *Fleet, kind string) *registry {
+	ctx, cancel := context.WithCancel(ctx)
+	return &registry{
+		f:      f,
+		kind:   kind,
+		ctx:    ctx,
+		cancel: cancel,
+		notify: make(chan struct{}, 1),
+		all:    make(map[*workerConn]struct{}),
+	}
+}
+
+func (r *registry) wake() {
 	select {
 	case r.notify <- struct{}{}:
 	default:
@@ -643,7 +315,7 @@ func (r *fleetRegistry) wake() {
 
 // add registers a freshly handshaken worker; false means the registry
 // already closed and the caller must tear the worker down.
-func (r *fleetRegistry) add(w *netWorker) bool {
+func (r *registry) add(w *workerConn) bool {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -656,10 +328,15 @@ func (r *fleetRegistry) add(w *netWorker) bool {
 	r.mu.Unlock()
 	if tel := obs.Active(); tel != nil {
 		tel.FleetWorkers.Set(int64(live))
-		tel.FleetRegistrations.Inc()
-		tel.Events.Emit("fleet.join", map[string]string{
-			"worker": w.id, "pid": strconv.Itoa(w.pid),
-		})
+		if w.proc != nil {
+			tel.WorkerSpawns.Inc()
+			tel.Events.Emit("dispatch.spawn", map[string]string{"pid": strconv.Itoa(w.pid)})
+		} else {
+			tel.FleetRegistrations.Inc()
+			tel.Events.Emit("fleet.join", map[string]string{
+				"worker": w.id, "pid": strconv.Itoa(w.pid),
+			})
+		}
 		tel.Live.WorkerJoin(w.id, w.pid)
 	}
 	r.wake()
@@ -667,7 +344,7 @@ func (r *fleetRegistry) add(w *netWorker) bool {
 }
 
 // remove forgets a dead worker.
-func (r *fleetRegistry) remove(w *netWorker) {
+func (r *registry) remove(w *workerConn) {
 	r.mu.Lock()
 	if _, ok := r.all[w]; !ok {
 		r.mu.Unlock()
@@ -691,7 +368,7 @@ func (r *fleetRegistry) remove(w *netWorker) {
 }
 
 // tryAcquire pops an idle live worker without waiting.
-func (r *fleetRegistry) tryAcquire() (*netWorker, bool) {
+func (r *registry) tryAcquire() (*workerConn, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for n := len(r.idle); n > 0; n = len(r.idle) {
@@ -706,9 +383,9 @@ func (r *fleetRegistry) tryAcquire() (*netWorker, bool) {
 
 // acquire blocks until an idle worker is available. Busy workers are
 // waited on indefinitely (they release when their shard settles), but
-// if the fleet stays completely empty for maxEmpty the caller gets
+// if the registry stays completely empty for maxEmpty the caller gets
 // errNoWorkers and runs the shard locally.
-func (r *fleetRegistry) acquire(ctx context.Context, maxEmpty time.Duration) (*netWorker, error) {
+func (r *registry) acquire(ctx context.Context, maxEmpty time.Duration) (*workerConn, error) {
 	emptyDeadline := time.Now().Add(maxEmpty)
 	for {
 		if w, ok := r.tryAcquire(); ok {
@@ -734,9 +411,9 @@ func (r *fleetRegistry) acquire(ctx context.Context, maxEmpty time.Duration) (*n
 }
 
 // release returns a healthy worker to the rotation.
-func (r *fleetRegistry) release(w *netWorker) {
+func (r *registry) release(w *workerConn) {
 	if w.dead() {
-		return // its owner loop is already accounting for the death
+		return // its endpoint loop is already accounting for the death
 	}
 	r.mu.Lock()
 	if r.closed {
@@ -748,9 +425,9 @@ func (r *fleetRegistry) release(w *netWorker) {
 	r.wake()
 }
 
-// destroy drops a suspect worker hard; its dial loop (if any)
-// reconnects fresh.
-func (r *fleetRegistry) destroy(w *netWorker) {
+// destroy drops a suspect worker hard; its endpoint loop tears it down
+// and reconnects or respawns fresh.
+func (r *registry) destroy(w *workerConn) {
 	if tel := obs.Active(); tel != nil {
 		tel.WorkerKills.Inc()
 	}
@@ -758,9 +435,9 @@ func (r *fleetRegistry) destroy(w *netWorker) {
 }
 
 // waitReady blocks until at least one worker has joined, the wait
-// budget is spent, or ctx ends. It reports whether the fleet is
+// budget is spent, or ctx ends. It reports whether the registry is
 // usable.
-func (r *fleetRegistry) waitReady(ctx context.Context, wait time.Duration) bool {
+func (r *registry) waitReady(ctx context.Context, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
 	for {
 		r.mu.Lock()
@@ -773,21 +450,19 @@ func (r *fleetRegistry) waitReady(ctx context.Context, wait time.Duration) bool 
 		if remain <= 0 {
 			return false
 		}
-		if remain > 20*time.Millisecond {
-			remain = 20 * time.Millisecond
-		}
 		select {
 		case <-r.notify:
-		case <-time.After(remain):
+		case <-time.After(min(remain, 20*time.Millisecond)):
 		case <-ctx.Done():
 			return false
 		}
 	}
 }
 
-// close tears the whole registry down: stops dial/accept loops, closes
-// every connection, waits for the loops to end. Idempotent.
-func (r *fleetRegistry) close() {
+// close tears the whole registry down: stops the endpoint loops,
+// closes every connection (killing and reaping spawned workers), waits
+// for the loops to end. Idempotent.
+func (r *registry) close() {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -795,7 +470,7 @@ func (r *fleetRegistry) close() {
 		return
 	}
 	r.closed = true
-	workers := make([]*netWorker, 0, len(r.all))
+	workers := make([]*workerConn, 0, len(r.all))
 	for w := range r.all {
 		workers = append(workers, w)
 	}
@@ -810,97 +485,80 @@ func (r *fleetRegistry) close() {
 	}
 }
 
-// dialLoop maintains the connection to one configured worker address:
-// dial, handshake, serve until the connection dies, reconnect with
-// capped backoff. Reconnects after a served session are counted — they
-// are the fleet surviving a lost worker.
-func (r *fleetRegistry) dialLoop(ctx context.Context, addr string) {
-	defer r.wg.Done()
-	f := r.f
-	connected := false
-	fails := 0
-	for ctx.Err() == nil {
-		c, err := dnet.Dial(ctx, addr, f.TLS, f.Tap, f.deadAfter())
-		var w *netWorker
-		if err == nil {
-			w, err = f.handshake(c, addr)
-			if err != nil {
-				c.Close()
-			}
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			fails++
-			if fails == 1 {
-				f.logf("fleet: worker %s unavailable (%v); retrying with backoff", addr, err)
-			}
-			d := campaign.BackoffDelay(f.BackoffBase, f.BackoffCap, f.Seed, fnvString(addr), fails)
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return
-			}
-			continue
-		}
-		fails = 0
-		if connected {
-			f.logf("fleet: reconnected to worker %s (pid %d)", addr, w.pid)
-			if tel := obs.Active(); tel != nil {
-				tel.FleetReconnects.Inc()
-				tel.Events.Emit("fleet.reconnect", map[string]string{"worker": addr})
-			}
-		} else {
-			f.logf("fleet: worker %s joined (pid %d)", addr, w.pid)
-			connected = true
-		}
-		if !r.add(w) {
-			w.close()
-			return
-		}
-		<-w.done
-		r.remove(w)
-		if ctx.Err() == nil {
-			f.logf("fleet: lost worker %s (%s)", addr, errString(w.err))
-		}
+// serve keeps one handshaken worker in the rotation until its
+// connection dies, then tears it down.
+func (r *registry) serve(w *workerConn) {
+	if !r.add(w) {
+		w.close()
+		return
 	}
+	<-w.done
+	r.remove(w)
+	w.close()
+	if r.ctx.Err() == nil {
+		r.f.logf("fleet: lost worker %s (%s)", w.id, errString(w.err))
+	}
+}
+
+// keep maintains one dialed or spawned endpoint for the registry's
+// lifetime: open it, serve it until its connection dies, open it again
+// — after capped backoff while opening fails. w, when non-nil, is an
+// already opened first connection.
+func (r *registry) keep(name string, w *workerConn, open func(ctx context.Context) (*workerConn, error)) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		f := r.f
+		for fails := 0; r.ctx.Err() == nil; {
+			if w == nil {
+				var err error
+				if w, err = open(r.ctx); err != nil {
+					if r.ctx.Err() != nil {
+						return
+					}
+					fails++
+					if fails == 1 {
+						f.logf("fleet: worker %s unavailable (%v); retrying with backoff", name, err)
+					}
+					select {
+					case <-time.After(campaign.BackoffDelay(f.BackoffBase, f.BackoffCap, f.Seed, fnvString(name), fails)):
+					case <-r.ctx.Done():
+						return
+					}
+					continue
+				}
+			}
+			fails = 0
+			r.serve(w)
+			w = nil
+		}
+	}()
 }
 
 // acceptLoop admits incoming worker registrations (DialAndServe
 // agents) for as long as the campaign runs. A registered worker that
 // drops is forgotten — re-registration is the agent's job.
-func (r *fleetRegistry) acceptLoop(ctx context.Context, l net.Listener) {
+func (r *registry) acceptLoop(l net.Listener) {
 	defer r.wg.Done()
-	n := 0
-	for {
+	f := r.f
+	for n := 1; ; n++ {
 		raw, err := l.Accept()
 		if err != nil {
 			return // listener closed on shutdown
 		}
-		n++
 		id := fmt.Sprintf("%s#%d", raw.RemoteAddr(), n)
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			f := r.f
-			c := dnet.NewConn(raw, f.Tap, f.deadAfter())
-			w, err := f.handshake(c, id)
+			w, err := f.handshake(r.ctx, dnet.NewConn(raw, f.Tap, 0), id)
 			if err != nil {
-				c.Close()
-				f.logf("fleet: registration from %s failed: %v", id, err)
+				if r.ctx.Err() == nil {
+					f.logf("fleet: registration from %s failed: %v", id, err)
+				}
 				return
 			}
 			f.logf("fleet: worker %s registered (pid %d)", id, w.pid)
-			if !r.add(w) {
-				w.close()
-				return
-			}
-			<-w.done
-			r.remove(w)
-			if ctx.Err() == nil {
-				f.logf("fleet: lost worker %s (%s)", id, errString(w.err))
-			}
+			r.serve(w)
 		}()
 	}
 }

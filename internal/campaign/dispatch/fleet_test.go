@@ -143,15 +143,27 @@ func TestFleetSurvivesKilledWorker(t *testing.T) {
 		once  sync.Once
 		kill1 context.CancelFunc
 	)
+	assigned := make(chan struct{})
 	killer := cubesFactory(func(ctx context.Context, i int) {
 		once.Do(func() {
+			close(assigned)
 			kill1()
 			<-ctx.Done() // the dying agent never answers this shard
 		})
 	})
 	a1, k1 := startAgent(t, killer, nil)
 	kill1 = k1
-	a2, _ := startAgent(t, cubesFactory(nil), nil)
+	// The survivor holds its first run until the killer has a shard.
+	// Without this, the survivor could finish the whole campaign before
+	// the killer registers, and no worker would ever die. With both
+	// shard slots in use (Workers: 2), a shard waiting for a worker goes
+	// to the killer as soon as it joins, so the hold always ends.
+	a2, _ := startAgent(t, cubesFactory(func(ctx context.Context, i int) {
+		select {
+		case <-assigned:
+		case <-ctx.Done():
+		}
+	}), nil)
 
 	var log bytes.Buffer
 	f := testFleet(n, a1, a2)
@@ -324,8 +336,10 @@ func startSilentWorker(t *testing.T) (string, <-chan struct{}) {
 func TestFleetStragglerRedispatch(t *testing.T) {
 	const n = 24
 	var once sync.Once
+	assigned := make(chan struct{})
 	slow := cubesFactory(func(ctx context.Context, i int) {
 		once.Do(func() {
+			close(assigned)
 			select {
 			case <-time.After(20 * time.Second):
 			case <-ctx.Done():
@@ -333,7 +347,14 @@ func TestFleetStragglerRedispatch(t *testing.T) {
 		})
 	})
 	a1, _ := startAgent(t, slow, nil)
-	a2, _ := startAgent(t, cubesFactory(nil), nil)
+	// The fast agent holds its first run until the slow one has a shard,
+	// so it cannot finish the campaign before the slow agent registers.
+	a2, _ := startAgent(t, cubesFactory(func(ctx context.Context, i int) {
+		select {
+		case <-assigned:
+		case <-ctx.Done():
+		}
+	}), nil)
 
 	var log bytes.Buffer
 	f := testFleet(n, a1, a2)
@@ -359,7 +380,7 @@ func TestFleetStragglerRedispatch(t *testing.T) {
 
 // TestFleetDegradesWithoutWorkers pins the degradation ladder's bottom
 // rung: no agent is reachable, so after ConnectWait the whole campaign
-// falls back — here (no Fallback command) to in-process execution —
+// falls back — here (no Command) to in-process execution —
 // and the output is still byte-identical to serial.
 func TestFleetDegradesWithoutWorkers(t *testing.T) {
 	const n = 16
@@ -436,7 +457,8 @@ func TestFleetResumesSubprocessJournal(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "cross.ckpt")
 
 	// Session 1: subprocess dispatch, run 20 fails deterministically.
-	s := subproc(t, n, envFailAt+"=20")
+	s := subproc(t, n)
+	s.Spec = cubesSpec(n, 20)
 	s.Workers, s.Shards, s.Checkpoint = 2, 8, ckpt
 	if _, err := campaign.Execute[int, int, string](context.Background(), cubes{n: n, failAt: 20}, s, nil); err == nil {
 		t.Fatal("session 1 should have failed at run 20")

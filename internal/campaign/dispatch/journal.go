@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	dnet "repro/internal/campaign/dispatch/net"
 )
 
 // journalEntry is one completed shard, durably recorded so a killed
@@ -50,7 +52,7 @@ func openJournal(path string) (*journal, error) {
 	var off int64
 	for {
 		var e journalEntry
-		err := readFrame(f, &e)
+		err := dnet.ReadFrame(f, &e)
 		if err != nil {
 			// io.EOF is a clean end; anything else is the torn tail of
 			// an interrupted append — drop it and resume from the last
@@ -100,7 +102,7 @@ func (j *journal) append(campaign, planHash, shard string, results []runPayload)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := writeFrame(j.f, e); err != nil {
+	if err := dnet.WriteFrame(j.f, e); err != nil {
 		return fmt.Errorf("dispatch: appending to checkpoint journal: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {

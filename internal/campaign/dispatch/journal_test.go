@@ -26,7 +26,7 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	// First invocation: a deterministic failure aborts the campaign
 	// partway; every shard completed before the abort is journaled.
 	var log1 bytes.Buffer
-	first := &Subprocess{Workers: 1, Shards: 8, Checkpoint: ckpt, Retries: -1, Log: &log1}
+	first := &Fleet{Workers: 1, Shards: 8, Checkpoint: ckpt, Retries: -1, Log: &log1}
 	c1 := cubes{n: n, failAt: 19, hits: &atomic.Int64{}}
 	if _, err := campaign.Execute[int, int, string](context.Background(), c1, first, nil); err == nil {
 		t.Fatal("first invocation should have aborted at run 19")
@@ -38,7 +38,7 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	// Second invocation: same campaign identity, no failure. Journaled
 	// shards are replayed, not re-executed.
 	var log2 bytes.Buffer
-	second := &Subprocess{Workers: 1, Shards: 8, Checkpoint: ckpt, Log: &log2}
+	second := &Fleet{Workers: 1, Shards: 8, Checkpoint: ckpt, Log: &log2}
 	c2 := cubes{n: n, failAt: -1, hits: &atomic.Int64{}}
 	got, err := campaign.Execute[int, int, string](context.Background(), c2, second, nil)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	}
 
 	// Third invocation: everything journaled; zero runs execute.
-	third := &Subprocess{Workers: 1, Shards: 8, Checkpoint: ckpt}
+	third := &Fleet{Workers: 1, Shards: 8, Checkpoint: ckpt}
 	c3 := cubes{n: n, failAt: -1, hits: &atomic.Int64{}}
 	if got, err := campaign.Execute[int, int, string](context.Background(), c3, third, nil); err != nil || got != want {
 		t.Fatalf("fully journaled replay: got %q err %v", got, err)
@@ -77,7 +77,8 @@ func TestCheckpointResumeAcrossWorkerProcesses(t *testing.T) {
 	want := serialBaseline(t, n)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 
-	first := subproc(t, n, envFailAt+"=7")
+	first := subproc(t, n)
+	first.Spec = cubesSpec(n, 7)
 	first.Workers, first.Shards, first.Checkpoint, first.Retries = 2, 8, ckpt, -1
 	if _, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), first, nil); err == nil {
 		t.Fatal("first invocation should have aborted at the worker's failing run")
@@ -102,13 +103,13 @@ func TestCheckpointIgnoresForeignJournals(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 
 	// Journal a full 16-run campaign.
-	s16 := &Subprocess{Workers: 1, Shards: 4, Checkpoint: ckpt}
+	s16 := &Fleet{Workers: 1, Shards: 4, Checkpoint: ckpt}
 	if _, err := campaign.Execute[int, int, string](context.Background(), newCubes(16), s16, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A 32-run campaign sharing the journal must execute all 32 runs.
-	s32 := &Subprocess{Workers: 1, Shards: 4, Checkpoint: ckpt}
+	s32 := &Fleet{Workers: 1, Shards: 4, Checkpoint: ckpt}
 	c := cubes{n: 32, failAt: -1, hits: &atomic.Int64{}}
 	got, err := campaign.Execute[int, int, string](context.Background(), c, s32, nil)
 	if err != nil {
@@ -223,17 +224,17 @@ func TestJournalRejectsCorruptedEntries(t *testing.T) {
 
 // TestSubprocessShardTimeoutDefaults sanity-checks option defaulting.
 func TestSubprocessShardTimeoutDefaults(t *testing.T) {
-	s := &Subprocess{}
+	s := &Fleet{}
 	if s.shardTimeout() != DefaultShardTimeout {
 		t.Errorf("shardTimeout = %v, want %v", s.shardTimeout(), DefaultShardTimeout)
 	}
 	if s.attempts() != campaign.DefaultAttempts {
 		t.Errorf("attempts = %d, want %d", s.attempts(), campaign.DefaultAttempts)
 	}
-	if (&Subprocess{Retries: -1}).attempts() != 1 {
+	if (&Fleet{Retries: -1}).attempts() != 1 {
 		t.Error("negative Retries should disable retrying")
 	}
-	if (&Subprocess{ShardTimeout: time.Second}).shardTimeout() != time.Second {
+	if (&Fleet{ShardTimeout: time.Second}).shardTimeout() != time.Second {
 		t.Error("explicit ShardTimeout ignored")
 	}
 }

@@ -1,8 +1,7 @@
-// Package dnet carries the dispatch shard protocol over network
-// connections. It owns the length-prefixed JSON frame codec the
-// subprocess dispatcher already speaks over pipes (WriteFrame /
-// ReadFrame are the same bytes), and adds the pieces pipes never
-// needed: a framed connection with an interior write lock so
+// Package dnet carries the dispatch shard protocol over any duplex
+// byte stream: a TCP/TLS socket to a worker agent or the stdin/stdout
+// pipes of a spawned worker process. It owns the length-prefixed JSON
+// frame codec, a framed connection with an interior write lock so
 // heartbeats can interleave with responses, per-frame read deadlines
 // for dead-peer detection, TCP/TLS dial and listen helpers, and a Tap
 // seam through which internal/campaign/chaos injects network faults
@@ -24,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -72,7 +73,14 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// readBody reads one raw frame body (without decoding it).
+// firstChunk is the body buffer a frame starts with before the bytes
+// that actually arrive justify a larger one.
+const firstChunk = 64 << 10
+
+// readBody reads one raw frame body (without decoding it). The buffer
+// grows with the bytes that arrive rather than trusting the length
+// prefix, so a corrupted prefix on a short stream costs what the
+// stream holds, never a MaxFrame allocation up front.
 func readBody(r io.Reader) ([]byte, error) {
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -81,13 +89,20 @@ func readBody(r io.Reader) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("dispatch: reading frame length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(pre[:])
+	n := int(binary.BigEndian.Uint32(pre[:]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("dispatch: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("dispatch: reading %d-byte frame: %w", n, err)
+	body := make([]byte, 0, min(n, firstChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), cap(body)))
+		}
+		k, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+k]
+		if err != nil {
+			return nil, fmt.Errorf("dispatch: reading %d-byte frame: %w", n, err)
+		}
 	}
 	return body, nil
 }
@@ -135,12 +150,12 @@ type Tap interface {
 }
 
 // Conn is one framed transport connection: WriteFrame/ReadFrame
-// semantics over a net.Conn, an interior write lock so concurrent
-// writers (shard responses and heartbeat pings) interleave at frame
-// granularity, an optional per-frame read deadline bounding peer
-// silence, and an optional fault-injection Tap.
+// semantics over any duplex stream, an interior write lock so
+// concurrent writers (shard responses and heartbeat pings) interleave
+// at frame granularity, an optional per-frame read deadline bounding
+// peer silence, and an optional fault-injection Tap.
 type Conn struct {
-	raw net.Conn
+	raw io.ReadWriteCloser
 	br  *bufio.Reader
 
 	wmu     sync.Mutex
@@ -155,11 +170,12 @@ type Conn struct {
 	closeErr  error
 }
 
-// NewConn wraps an established connection. readTimeout, when positive,
+// NewConn wraps an established stream. readTimeout, when positive,
 // bounds the silence between frames: a peer that sends nothing for
 // that long (no responses, no heartbeats) is declared dead and reads
-// fail. Zero disables the deadline.
-func NewConn(raw net.Conn, tap Tap, readTimeout time.Duration) *Conn {
+// fail. It applies when raw has a SetReadDeadline method, as net.Conn
+// and the *os.File ends of a pipe do; zero disables the deadline.
+func NewConn(raw io.ReadWriteCloser, tap Tap, readTimeout time.Duration) *Conn {
 	return &Conn{
 		raw:         raw,
 		br:          bufio.NewReader(raw),
@@ -206,21 +222,33 @@ func (c *Conn) WriteFrame(v any) error {
 	return c.bw.Flush()
 }
 
+// readDeadliner is the optional deadline capability of a stream.
+type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
+// SetReadTimeout replaces the per-frame read deadline for subsequent
+// reads; zero also clears any deadline already armed. Call it from the
+// reading goroutine only.
+func (c *Conn) SetReadTimeout(d time.Duration) {
+	c.readTimeout = d
+	if rd, ok := c.raw.(readDeadliner); ok && d == 0 {
+		rd.SetReadDeadline(time.Time{})
+	}
+}
+
 // ReadFrame reads the next delivered frame into v. Dropped frames are
 // consumed and skipped; a read deadline overrun reports the peer as
 // silent so callers can distinguish a dead connection from a slow
 // shard.
 func (c *Conn) ReadFrame(v any) error {
 	for {
-		if c.readTimeout > 0 {
-			if err := c.raw.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
+		if rd, ok := c.raw.(readDeadliner); ok && c.readTimeout > 0 {
+			if err := rd.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
 				return err
 			}
 		}
 		body, err := readBody(c.br)
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				return fmt.Errorf("dispatch: peer silent for %s (missed heartbeats): %w", c.readTimeout, err)
 			}
 			return err
@@ -256,8 +284,14 @@ func (c *Conn) Close() error {
 	return c.closeErr
 }
 
-// RemoteAddr names the peer for diagnostics.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
+// RemoteAddr names the peer for diagnostics: the socket's remote
+// address, or "pipe" for a stream that has none.
+func (c *Conn) RemoteAddr() string {
+	if nc, ok := c.raw.(net.Conn); ok {
+		return nc.RemoteAddr().String()
+	}
+	return "pipe"
+}
 
 // corruptBody returns a copy of body with a few bits flipped, length
 // preserved — the shape of corruption the integrity hash and JSON

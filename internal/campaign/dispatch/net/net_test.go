@@ -159,7 +159,7 @@ func TestTapResetClosesConnection(t *testing.T) {
 		t.Fatalf("read through reset = %v, want reset error", err)
 	}
 	// The underlying connection is gone for the peer too.
-	client.raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	client.raw.(net.Conn).SetReadDeadline(time.Now().Add(2 * time.Second))
 	var m2 msg
 	if err := client.ReadFrame(&m2); err == nil {
 		t.Fatal("peer read succeeded after reset")

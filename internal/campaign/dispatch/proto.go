@@ -1,34 +1,35 @@
 // Package dispatch ships whole campaign shards to worker processes.
 //
-// The parent re-execs the current binary in a hidden worker mode and
-// speaks a length-prefixed JSON frame protocol over the worker's
-// stdin/stdout: one request frame per shard (campaign name, plan hash,
-// shard id, run indices), one response frame back (encoded results plus
-// an integrity hash). The seam is hardened end-to-end — per-shard
-// deadlines, crash and hang detection, retry with capped exponential
-// backoff and deterministic jitter on a fresh worker, response
-// integrity verification, shard-granular checkpoint/resume — and
-// degrades gracefully to in-process execution when subprocesses cannot
-// be spawned. Everything the protocol moves is a pure function of
-// campaign identity, so a dispatched campaign reduces byte-identically
-// to a serial one; internal/campaign/chaos injects faults into this
-// very seam to prove it.
+// One executor, Fleet, balances shards over live worker connections of
+// three kinds: dialed worker agents (Addrs), agents that register on a
+// listen address (Listen), and worker processes it spawns itself
+// (Command) — the current binary re-exec'd in a hidden worker mode,
+// speaking over its stdin/stdout. Every connection carries the same
+// length-prefixed JSON frame protocol (see the dnet sub-package): a
+// hello from the worker, a netConfig frame back that ships the opaque
+// campaign spec and the heartbeat interval, a spec ack, then one
+// request frame per shard (campaign name, plan hash, shard id, run
+// indices) answered by one response frame (encoded results plus an
+// integrity hash), with heartbeat pings and telemetry deltas
+// interleaved.
 //
-// The same frame protocol also runs over TCP/TLS connections: ServeNet
-// and DialAndServe turn a process into a networked worker agent, and
-// the Fleet executor coordinates shards across a fleet of them with
-// heartbeats, straggler re-dispatch and capped-backoff reconnect —
-// degrading to Subprocess and then to in-process execution when the
-// fleet is empty. See the dnet sub-package for the transport.
+// The seam is hardened end to end — per-shard deadlines, dead-peer
+// detection by missed heartbeats, straggler re-dispatch, retry with
+// capped exponential backoff and deterministic jitter on another
+// worker, response integrity verification, shard-granular
+// checkpoint/resume — and degrades gracefully: remote fleet, then
+// spawned workers, then in-process execution. Everything the protocol
+// moves is a pure function of campaign identity, so a dispatched
+// campaign reduces byte-identically to a serial one;
+// internal/campaign/chaos injects faults into this very seam to prove
+// it.
 package dispatch
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 
-	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
 
@@ -36,12 +37,6 @@ import (
 // Version 2 wrapped worker→parent traffic in envelope frames so workers
 // can interleave telemetry deltas with shard responses.
 const protoVersion = 2
-
-// maxFrame bounds a frame body so a corrupted length prefix cannot ask
-// the reader to allocate unbounded memory (a detected data error, in
-// the paper's terms, not a crash). The limit lives with the codec in
-// the dnet sub-package; pipes and sockets share it.
-const maxFrame = dnet.MaxFrame
 
 // hello is the first frame a worker writes after starting, proving the
 // process came up and speaks our protocol version.
@@ -112,10 +107,9 @@ type response struct {
 type envelope struct {
 	Resp    *response    `json:"resp,omitempty"`
 	Metrics []obs.Series `json:"metrics,omitempty"`
-	// Ping is a worker-agent heartbeat on network transports: proof of
-	// life while a long shard computes. Subprocess workers never send
-	// it (pipes cannot half-fail the way sockets do), so proto-v2
-	// parents and workers interoperate unchanged.
+	// Ping is a worker heartbeat: proof of life while a long shard
+	// computes, on sockets and pipes alike (a stopped process stops
+	// pinging just as a partitioned agent does).
 	Ping *pingFrame `json:"ping,omitempty"`
 }
 
@@ -126,20 +120,21 @@ type pingFrame struct {
 }
 
 // netConfig is the coordinator→worker frame that follows the hello on
-// network connections: worker agents start independently of any
-// campaign (unlike subprocess workers, whose spec rides in their
-// environment), so the coordinator ships the campaign spec and the
-// heartbeat interval at handshake. The worker acknowledges with a
-// response envelope (Seq 0; Error carries a spec the agent cannot
-// serve) before the first shard request.
+// every connection: workers start independently of any campaign, so
+// the coordinator ships the campaign spec and the heartbeat interval
+// at handshake — to spawned processes exactly as to network agents.
+// The worker acknowledges with a response envelope (Seq 0; Error
+// carries a spec the worker cannot serve) before the first shard
+// request.
 type netConfig struct {
 	// Spec is the opaque campaign spec (the experiment layer's encoded
-	// WorkerSpec) the agent builds its campaign lookup from.
+	// WorkerSpec) the worker builds its campaign lookup from.
 	Spec string `json:"spec"`
-	// HeartbeatMs is the agent's ping interval; 0 disables heartbeats.
+	// HeartbeatMs is the worker's ping interval; 0 disables heartbeats.
 	HeartbeatMs int64 `json:"heartbeat_ms"`
 	// Trace, when non-empty, is the coordinator's campaign trace id,
-	// logged by the agent so operators can grep a fleet's logs by trace.
+	// logged by network agents so operators can grep a fleet's logs by
+	// trace.
 	// Per-shard tracing is governed by request.Trace, not this field.
 	Trace string `json:"trace,omitempty"`
 }
@@ -183,13 +178,3 @@ func shardID(planHash uint64, bucket int, indices []int) uint64 {
 	}
 	return h.Sum64()
 }
-
-// writeFrame marshals v and writes it as one length-prefixed frame.
-// The codec lives in the dnet sub-package so pipe and socket
-// transports move identical bytes.
-func writeFrame(w io.Writer, v any) error { return dnet.WriteFrame(w, v) }
-
-// readFrame reads one length-prefixed frame into v. io.EOF at a frame
-// boundary is returned as-is (clean shutdown); anything else that cuts
-// a frame short is an unexpected-EOF error.
-func readFrame(r io.Reader, v any) error { return dnet.ReadFrame(r, v) }

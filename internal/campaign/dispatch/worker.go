@@ -1,16 +1,18 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
+	"crypto/tls"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"runtime/debug"
 	"sync"
 	"time"
 
 	"repro/internal/campaign"
+	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
 
@@ -111,45 +113,236 @@ func (a *adapter[Run, Result, Out]) ExecuteEncoded(ctx context.Context, i int) (
 	return a.wire.EncodeResult(res)
 }
 
-// Serve runs the worker side of the shard protocol over r/w until r
-// reaches EOF (the parent closing the worker's stdin is the shutdown
-// signal): announce ourselves with a hello frame, then answer each
-// shard request with the shard's encoded results and integrity hash.
-// lookup resolves a campaign name to its Worker; resolutions are
-// memoized, so a process serving many shards of one campaign builds
-// its plan (and reference state such as golden runs) once.
-func Serve(ctx context.Context, lookup func(name string) (Worker, error), r io.Reader, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := writeFrame(bw, hello{Proto: protoVersion, PID: os.Getpid(), Token: obs.ProcessToken()}); err != nil {
-		return err
+// DefaultHeartbeat is the worker ping interval when a Fleet leaves
+// Heartbeat zero. The coordinator declares a connection dead
+// after three missed beats, so hang detection reacts within ~3×this
+// while a genuinely slow shard (whose agent keeps pinging) gets the
+// full shard deadline.
+const DefaultHeartbeat = 2 * time.Second
+
+// LookupFactory builds a campaign lookup from the spec a coordinator
+// ships at handshake. Workers start before any campaign exists, so the
+// factory runs once per connection, when the coordinator's netConfig
+// frame arrives.
+type LookupFactory func(ctx context.Context, spec string) (func(name string) (Worker, error), error)
+
+// NetServeOptions tunes a networked worker agent.
+type NetServeOptions struct {
+	// TLS wraps the transport when non-nil (server config for ServeNet,
+	// client config for DialAndServe).
+	TLS *tls.Config
+	// Tap, when non-nil, intercepts every frame — the chaos seam.
+	Tap dnet.Tap
+	// Log receives agent diagnostics (nil discards them).
+	Log io.Writer
+	// Ready, when non-nil, is called once with the bound listen address
+	// (ServeNet only) — tests listen on ":0" and need the port.
+	Ready func(addr net.Addr)
+	// ReconnectBase and ReconnectCap shape DialAndServe's capped
+	// reconnect backoff (zero selects the campaign package defaults).
+	ReconnectBase, ReconnectCap time.Duration
+}
+
+func (o NetServeOptions) logf(format string, args ...any) {
+	if o.Log != nil {
+		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
-	br := bufio.NewReader(r)
-	workers := make(map[string]Worker)
-	var deltas obs.DeltaTracker
+}
+
+// ServeNet runs a worker agent that listens on addr and serves shard
+// requests on every accepted coordinator connection until ctx is
+// canceled. Each connection handshakes independently (hello out,
+// netConfig in, ack out) and builds its own campaign lookup from the
+// spec the coordinator ships, so one long-lived agent can serve many
+// campaigns — and many coordinators — in sequence.
+func ServeNet(ctx context.Context, addr string, factory LookupFactory, o NetServeOptions) error {
+	l, err := dnet.Listen(addr, o.TLS)
+	if err != nil {
+		return fmt.Errorf("dispatch: worker agent cannot listen on %s: %w", addr, err)
+	}
+	if o.Ready != nil {
+		o.Ready(l.Addr())
+	}
+	o.logf("worker agent: serving shards on %s", l.Addr())
+	go func() {
+		<-ctx.Done()
+		l.Close()
+	}()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		raw, err := l.Accept()
+		if err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return fmt.Errorf("dispatch: worker agent accept: %w", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serveConn(ctx, dnet.NewConn(raw, o.Tap, 0), factory, o.Log)
+		}()
+	}
+}
+
+// DialAndServe runs a worker agent that registers with a coordinator
+// at addr (the coordinator's -fleet listen endpoint) and serves shards
+// over the dialed connection, reconnecting with capped backoff when
+// the coordinator goes away. It returns when ctx is canceled.
+func DialAndServe(ctx context.Context, addr string, factory LookupFactory, o NetServeOptions) error {
+	seed := int64(os.Getpid())
+	fails := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		c, err := dnet.Dial(ctx, addr, o.TLS, o.Tap, 0)
+		if err == nil {
+			o.logf("worker agent: registered with coordinator %s", addr)
+			fails = 0
+			serveConn(ctx, c, factory, o.Log)
+			if ctx.Err() == nil {
+				o.logf("worker agent: coordinator %s went away; reconnecting", addr)
+			}
+			continue
+		}
+		fails++
+		if fails == 1 {
+			o.logf("worker agent: cannot reach coordinator %s (%v); retrying with backoff", addr, err)
+		}
+		d := campaign.BackoffDelay(o.ReconnectBase, o.ReconnectCap, seed, 0, fails)
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// ServeStdio runs the worker side of the shard protocol on this
+// process's stdin/stdout — the hidden worker mode of a process a Fleet
+// spawns — until the coordinator closes the pipe or ctx ends.
+func ServeStdio(ctx context.Context, factory LookupFactory) {
+	serveConn(ctx, dnet.NewConn(stdio{r: os.Stdin, w: os.Stdout}, nil, 0), factory, nil)
+}
+
+// stdio joins the two pipe ends of a worker process into one duplex
+// stream: the coordinator reads the child's stdout and writes its
+// stdin, the child the reverse. The read deadline reaches the read
+// end, so a stopped child is caught by missed heartbeats just as a
+// silent socket is.
+type stdio struct {
+	r *os.File
+	w io.WriteCloser
+}
+
+func (s stdio) Read(p []byte) (int, error)        { return s.r.Read(p) }
+func (s stdio) Write(p []byte) (int, error)       { return s.w.Write(p) }
+func (s stdio) SetReadDeadline(t time.Time) error { return s.r.SetReadDeadline(t) }
+
+func (s stdio) Close() error {
+	s.w.Close()
+	return s.r.Close()
+}
+
+// serveConn speaks the worker side of the shard protocol on one
+// connection: hello, netConfig handshake with spec ack, an optional
+// heartbeat ticker for the connection's lifetime, then the request →
+// metrics-delta → response loop. A canceled ctx closes the connection,
+// which from the coordinator's side is indistinguishable from a killed
+// worker — the recovery path the fleet tests exercise.
+func serveConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, log io.Writer) {
+	logf := func(format string, args ...any) {
+		if log != nil {
+			fmt.Fprintf(log, format+"\n", args...)
+		}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer c.Close()
+	go func() {
+		<-ctx.Done()
+		c.Close()
+	}()
+
+	if err := c.WriteFrame(hello{Proto: protoVersion, PID: os.Getpid(), Token: obs.ProcessToken()}); err != nil {
+		return
+	}
+	var cfg netConfig
+	if err := c.ReadFrame(&cfg); err != nil {
+		if ctx.Err() == nil {
+			logf("worker agent: handshake with %s failed: %v", c.RemoteAddr(), err)
+		}
+		return
+	}
+	if cfg.Trace != "" {
+		// Announce the campaign trace id so a fleet's scattered agent
+		// logs can be correlated by grep; per-shard tracing rides each
+		// request frame.
+		logf("worker agent: serving campaign trace %s for %s", cfg.Trace, c.RemoteAddr())
+	}
+	lookup, err := factory(ctx, cfg.Spec)
+	ack := response{}
+	if err != nil {
+		ack.Error = fmt.Sprintf("building campaign lookup: %v", err)
+		logf("worker agent: rejecting spec from %s: %v", c.RemoteAddr(), err)
+	}
+	if werr := c.WriteFrame(envelope{Resp: &ack}); werr != nil || err != nil {
+		return
+	}
+
+	if cfg.HeartbeatMs > 0 {
+		go func() {
+			t := time.NewTicker(time.Duration(cfg.HeartbeatMs) * time.Millisecond)
+			defer t.Stop()
+			var seq uint64
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					seq++
+					if err := c.WriteFrame(envelope{Ping: &pingFrame{Seq: seq}}); err != nil {
+						// A dead coordinator connection: unblock the serve
+						// loop so the agent can take the next coordinator.
+						cancel()
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	workers := make(map[string]Worker)
+	var deltas obs.DeltaTracker
+	for {
+		if ctx.Err() != nil {
+			return
+		}
 		var req request
-		switch err := readFrame(br, &req); {
+		switch err := c.ReadFrame(&req); {
 		case err == io.EOF:
-			return nil
+			return
 		case err != nil:
-			return err
+			if ctx.Err() == nil {
+				logf("worker agent: connection to %s lost: %v", c.RemoteAddr(), err)
+			}
+			return
 		}
 		resp := serveShard(ctx, workers, lookup, req)
 		// Ship this shard's telemetry movement ahead of its response:
-		// once the parent has the response it may declare the campaign
-		// done, so the counts must already be merged by then.
+		// once the coordinator has the response it may declare the
+		// campaign done, so the counts must already be merged by then.
 		if tel := obs.Active(); tel != nil {
 			if moved := deltas.Delta(tel.Reg); len(moved) > 0 {
-				if err := writeFrame(bw, envelope{Metrics: moved}); err != nil {
-					return err
+				if err := c.WriteFrame(envelope{Metrics: moved}); err != nil {
+					return
 				}
 			}
 		}
-		if err := writeFrame(bw, envelope{Resp: &resp}); err != nil {
-			return err
+		if err := c.WriteFrame(envelope{Resp: &resp}); err != nil {
+			return
 		}
 	}
 }

@@ -75,43 +75,24 @@ type AdaptiveRound struct {
 	Batch    int    `json:"batch"`
 }
 
-// withRound re-encodes the worker spec in the dispatch environment with
-// the round state attached, so the fresh worker processes of this round
-// rebuild its campaign. No-op without a dispatcher.
+// withRound re-encodes the worker spec the dispatcher ships at
+// handshake with the round state attached, so the workers of this
+// round rebuild its campaign. No-op without a dispatcher.
 func (o Options) withRound(st AdaptiveRound) (Options, error) {
-	if o.Dispatch == nil {
+	if o.Dispatch == nil || o.Dispatch.Spec == "" {
 		return o, nil
 	}
+	var spec WorkerSpec
+	if err := json.Unmarshal([]byte(o.Dispatch.Spec), &spec); err != nil {
+		return o, fmt.Errorf("experiment: decoding worker spec for round state: %w", err)
+	}
+	spec.Round = &st
+	enc, err := spec.Encode()
+	if err != nil {
+		return o, err
+	}
 	d := *o.Dispatch
-	d.Env = append([]string(nil), d.Env...)
-	reencode := func(specJSON string) (string, error) {
-		var spec WorkerSpec
-		if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
-			return "", fmt.Errorf("experiment: decoding worker spec for round state: %w", err)
-		}
-		spec.Round = &st
-		return spec.Encode()
-	}
-	prefix := WorkerSpecEnv + "="
-	for i, e := range d.Env {
-		if !strings.HasPrefix(e, prefix) {
-			continue
-		}
-		enc, err := reencode(e[len(prefix):])
-		if err != nil {
-			return o, err
-		}
-		d.Env[i] = prefix + enc
-	}
-	// The fleet handshake ships Spec directly; keep it in step with the
-	// worker environment so network agents see the same round state.
-	if d.Spec != "" {
-		enc, err := reencode(d.Spec)
-		if err != nil {
-			return o, err
-		}
-		d.Spec = enc
-	}
+	d.Spec = enc
 	o.Dispatch = &d
 	return o, nil
 }

@@ -39,12 +39,12 @@ func ValidateDispatchFlags(workers, shards int, shardTimeout time.Duration, retr
 	return nil
 }
 
-// SelfDispatch switches opts onto the fault-tolerant subprocess
-// dispatcher, with workers that are re-execs of the current binary
-// under workerFlag and the given spec shipped through the worker
-// environment. If the current executable cannot be resolved the
-// command list stays empty and the dispatcher runs shards in-process
-// (its degraded mode) — checkpointing still works there.
+// SelfDispatch switches opts onto the fault-tolerant shard dispatcher,
+// with workers that are re-execs of the current binary under
+// workerFlag and the given spec shipped to them at handshake. If the
+// current executable cannot be resolved the command list stays empty
+// and the dispatcher runs shards in-process (its degraded mode) —
+// checkpointing still works there.
 func SelfDispatch(opts *Options, spec WorkerSpec, workerFlag, checkpoint string, shardTimeout time.Duration, retries int, log io.Writer) error {
 	spec.Options = *opts
 	specJSON, err := spec.Encode()
@@ -52,7 +52,6 @@ func SelfDispatch(opts *Options, spec WorkerSpec, workerFlag, checkpoint string,
 		return err
 	}
 	cfg := &DispatchConfig{
-		Env:          []string{WorkerSpecEnv + "=" + specJSON},
 		Spec:         specJSON,
 		Checkpoint:   checkpoint,
 		ShardTimeout: shardTimeout,
@@ -69,9 +68,9 @@ func SelfDispatch(opts *Options, spec WorkerSpec, workerFlag, checkpoint string,
 	return nil
 }
 
-// FleetDispatch switches opts onto the networked fleet coordinator:
-// shards go to worker agents at addrs (and to agents registering on
-// listen, when set), with the subprocess dispatcher as the degradation
+// FleetDispatch puts networked worker agents first on the dispatcher's
+// degradation ladder: shards go to agents at addrs (and to agents
+// registering on listen, when set), with spawned workers as the
 // fallback when no agent is reachable. The worker spec is shipped to
 // agents at handshake, so agents need no pre-arranged environment.
 func FleetDispatch(opts *Options, spec WorkerSpec, workerFlag string, addrs []string, listen string, heartbeat time.Duration, checkpoint string, shardTimeout time.Duration, retries int, log io.Writer) error {

@@ -35,11 +35,13 @@ import (
 	"repro/internal/trace"
 )
 
-// DispatchConfig selects multi-process campaign execution: shards are
-// shipped to worker subprocesses (re-execs of the current binary in
-// worker mode) with per-shard deadlines, retries, integrity checks and
-// optional checkpoint/resume. All fields beyond Command tune the
-// hardening; results are byte-identical to in-process execution.
+// DispatchConfig selects multi-process campaign execution on the
+// dispatch.Fleet executor: shards are shipped to networked worker
+// agents (Fleet, FleetListen) or, failing those, to worker processes
+// it spawns (re-execs of the current binary in worker mode), with
+// per-shard deadlines, heartbeats, retries, integrity checks and
+// optional checkpoint/resume. Results are byte-identical to
+// in-process execution.
 type DispatchConfig struct {
 	// Command is the worker argv; empty runs shards in-process (the
 	// dispatcher's degraded mode, still honoring Checkpoint).
@@ -61,16 +63,15 @@ type DispatchConfig struct {
 
 	// Fleet lists networked worker-agent addresses; FleetListen
 	// additionally accepts incoming agent registrations. Either being
-	// set moves execution onto the fleet coordinator (with the
-	// subprocess dispatcher as its degradation fallback).
+	// set puts the agents first on the degradation ladder, ahead of
+	// spawned workers and in-process execution.
 	Fleet       []string `json:"-"`
 	FleetListen string   `json:"-"`
-	// Heartbeat is the fleet worker ping interval (0 selects the
-	// default; negative disables heartbeats).
+	// Heartbeat is the worker ping interval (0 selects the default;
+	// negative disables heartbeats).
 	Heartbeat time.Duration `json:"-"`
-	// Spec is the encoded WorkerSpec the fleet coordinator ships to
-	// worker agents at handshake (the same JSON Env carries for
-	// subprocess workers).
+	// Spec is the encoded WorkerSpec shipped to every worker — agent or
+	// spawned process — at handshake.
 	Spec string `json:"-"`
 }
 
@@ -95,7 +96,7 @@ type Options struct {
 	// per campaign (the BENCH_campaigns.json hook).
 	Timings *campaign.Collector `json:"-"`
 	// Dispatch, when non-nil, moves execution onto the fault-tolerant
-	// subprocess dispatcher. Never set inside a worker process.
+	// shard dispatcher. Never set inside a worker process.
 	Dispatch *DispatchConfig `json:"-"`
 	// MaxRunMs bounds a single run.
 	MaxRunMs int64
@@ -187,7 +188,7 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// executor returns the executor the options select: the subprocess
+// executor returns the executor the options select: the shard
 // dispatcher when Dispatch is configured, serial for a single worker,
 // the sharded worker pool otherwise.
 func (o Options) executor() campaign.Executor {
@@ -195,35 +196,22 @@ func (o Options) executor() campaign.Executor {
 		return o.execOverride
 	}
 	if d := o.Dispatch; d != nil {
-		sub := &dispatch.Subprocess{
+		return &dispatch.Fleet{
+			Addrs:        d.Fleet,
+			Listen:       d.FleetListen,
 			Command:      d.Command,
 			Env:          d.Env,
 			WorkerStderr: d.WorkerStderr,
+			Spec:         d.Spec,
 			Workers:      o.Workers,
 			Shards:       o.Shards,
 			ShardTimeout: d.ShardTimeout,
+			Heartbeat:    d.Heartbeat,
 			Retries:      d.Retries,
 			Seed:         o.Seed,
 			Checkpoint:   d.Checkpoint,
 			Log:          d.Log,
 		}
-		if len(d.Fleet) > 0 || d.FleetListen != "" {
-			return &dispatch.Fleet{
-				Addrs:        d.Fleet,
-				Listen:       d.FleetListen,
-				Spec:         d.Spec,
-				Workers:      o.Workers,
-				Shards:       o.Shards,
-				ShardTimeout: d.ShardTimeout,
-				Heartbeat:    d.Heartbeat,
-				Retries:      d.Retries,
-				Seed:         o.Seed,
-				Checkpoint:   d.Checkpoint,
-				Log:          d.Log,
-				Fallback:     sub,
-			}
-		}
-		return sub
 	}
 	if o.Workers <= 1 {
 		return campaign.Serial{}

@@ -13,16 +13,12 @@ import (
 	"repro/internal/sut"
 )
 
-// WorkerSpecEnv is the environment variable through which the parent
-// process ships a JSON WorkerSpec to its shard workers.
-const WorkerSpecEnv = "REPRO_WORKER_SPEC"
-
 // WorkerSpec carries everything a worker process needs to rebuild the
 // campaigns of one invocation bit-for-bit: the options plus every
-// campaign's sizing parameters. The parent serializes it into the
-// worker environment (WorkerSpecEnv); the worker rebuilds a campaign
-// on demand when the first shard request naming it arrives, and the
-// dispatch plan-hash handshake verifies both sides agree on the plan.
+// campaign's sizing parameters. The parent ships it to each worker at
+// the dispatch handshake; the worker rebuilds a campaign on demand
+// when the first shard request naming it arrives, and the plan hash on
+// every request verifies both sides agree on the plan.
 type WorkerSpec struct {
 	// Options is the invocation's configuration. Scheduling-only fields
 	// (Workers, Timings, Dispatch) are not serialized; the worker
@@ -46,19 +42,19 @@ type WorkerSpec struct {
 	MatrixPerCell  int              `json:"matrix_per_cell,omitempty"`  // matrix
 
 	// ModelJSON carries the raw system descriptions of JSON-loaded
-	// targets (cmd/inject -model), so worker subprocesses re-register
-	// them in their own sut registry before rebuilding the campaign.
+	// targets (cmd/inject -model), so worker processes re-register them
+	// in their own sut registry before rebuilding the campaign.
 	ModelJSON []json.RawMessage `json:"model_json,omitempty"`
 
 	// Round carries the cursor state of the adaptive round this worker
 	// pool serves (round campaigns are named "<base>@<round>"); nil for
 	// exact campaigns. The parent refreshes it per round via
-	// Options.withRound — worker pools are created per round, so fresh
-	// processes always see their own round's state.
+	// Options.withRound — workers handshake per round, so they always
+	// see their own round's state.
 	Round *AdaptiveRound `json:"adaptive_round,omitempty"`
 }
 
-// Encode renders the spec for the worker environment.
+// Encode renders the spec for the dispatch handshake.
 func (s WorkerSpec) Encode() (string, error) {
 	s.Options.Timings = nil
 	s.Options.Dispatch = nil
@@ -188,20 +184,14 @@ func LookupFromSpec(ctx context.Context, specJSON string) (func(name string) (di
 	}, nil
 }
 
-// ServeWorker runs the hidden worker mode of the campaign commands:
-// decode the spec the parent put in the environment and answer shard
-// requests on stdin/stdout until the parent closes the pipe. Campaign
-// state (plans, golden runs) is built lazily per campaign name and
-// reused across the shards this process serves.
-func ServeWorker(ctx context.Context, specJSON string, r io.Reader, w io.Writer) error {
-	if specJSON == "" {
-		return fmt.Errorf("experiment: worker mode requires a spec in $%s", WorkerSpecEnv)
-	}
-	lookup, err := LookupFromSpec(ctx, specJSON)
-	if err != nil {
-		return err
-	}
-	return dispatch.Serve(ctx, lookup, r, w)
+// ServeWorker runs the hidden worker mode of the campaign commands
+// (-worker-shard): answer the dispatcher's handshake and shard requests
+// on stdin/stdout until the parent closes the pipe. The campaign spec
+// arrives at handshake; campaign state (plans, golden runs) is built
+// lazily per campaign name and reused across the shards this process
+// serves.
+func ServeWorker(ctx context.Context) {
+	dispatch.ServeStdio(ctx, LookupFromSpec)
 }
 
 // RunWorkerAgent runs the networked worker-agent mode of the campaign

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,10 +22,7 @@ const experimentWorkerEnv = "EXPERIMENT_TEST_WORKER"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(experimentWorkerEnv) == "1" {
-		if err := ServeWorker(context.Background(), os.Getenv(WorkerSpecEnv), os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "experiment test worker:", err)
-			os.Exit(1)
-		}
+		ServeWorker(context.Background())
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
@@ -45,7 +41,8 @@ func subprocessOpts(t *testing.T, workers, shards int, spec WorkerSpec, checkpoi
 	}
 	opts.Dispatch = &DispatchConfig{
 		Command:      []string{os.Args[0]},
-		Env:          []string{experimentWorkerEnv + "=1", WorkerSpecEnv + "=" + specJSON},
+		Env:          []string{experimentWorkerEnv + "=1"},
+		Spec:         specJSON,
 		Checkpoint:   checkpoint,
 		ShardTimeout: 2 * time.Minute,
 		Log:          log,

@@ -65,7 +65,7 @@ type Telemetry struct {
 	ShardDur      *Histogram // per-shard wall time, seconds (all executors)
 	ShardWalls    *SampleLog // the same wall times, raw, for exact percentiles
 
-	// Subprocess dispatcher.
+	// Shard dispatcher (dispatch.Fleet), every endpoint kind.
 	DispatchShards    *Counter // shards planned by the dispatcher (incl. resumed)
 	DispatchResumed   *Counter // shards replayed from a checkpoint journal
 	DispatchDone      *Counter // shards completed by the dispatcher
@@ -73,11 +73,11 @@ type Telemetry struct {
 	DispatchIntegrity *Counter // integrity-check failures on shard responses
 	DispatchPermanent *Counter // permanent (campaign-level) shard failures
 	WorkerSpawns      *Counter // worker processes spawned
-	WorkerKills       *Counter // worker processes killed/destroyed
+	WorkerKills       *Counter // workers dropped as crashed, hung, silent or corrupt
 	Degraded          *Gauge   // 1 while the dispatcher runs shards in-process
 
-	// Networked fleet dispatcher.
-	FleetWorkers       *Gauge   // live fleet worker connections
+	// Worker registry of the shard dispatcher.
+	FleetWorkers       *Gauge   // live worker connections (any endpoint kind)
 	FleetRegistrations *Counter // fleet workers joined (dialed or registered)
 	FleetReconnects    *Counter // reconnects to workers that were lost
 	FleetStragglers    *Counter // duplicate dispatches racing straggler shards

@@ -20,14 +20,14 @@ var help = map[string]string{
 	"repro_shards_total":                      "Shards partitioned for execution.",
 	"repro_shards_done_total":                 "Shards completed.",
 	"repro_shard_duration_seconds":            "Per-shard wall time.",
-	"repro_dispatch_shards_total":             "Shards planned by the subprocess dispatcher.",
+	"repro_dispatch_shards_total":             "Shards planned by the shard dispatcher.",
 	"repro_dispatch_shards_resumed_total":     "Shards replayed from a checkpoint journal.",
-	"repro_dispatch_shards_done_total":        "Shards completed by the subprocess dispatcher.",
+	"repro_dispatch_shards_done_total":        "Shards completed by the shard dispatcher.",
 	"repro_dispatch_shard_retries_total":      "Shard re-dispatches after retryable failures.",
 	"repro_dispatch_integrity_failures_total": "Integrity-check failures on shard responses.",
 	"repro_dispatch_permanent_failures_total": "Permanent (campaign-fatal) shard failures.",
 	"repro_dispatch_worker_spawns_total":      "Worker processes spawned.",
-	"repro_dispatch_worker_kills_total":       "Worker processes killed or destroyed.",
+	"repro_dispatch_worker_kills_total":       "Workers dropped as crashed, hung, silent or corrupt.",
 	"repro_dispatch_degraded":                 "1 while the dispatcher executes shards in-process.",
 	"repro_worker_runs_total":                 "Runs executed inside worker processes.",
 	"repro_chaos_faults_total":                "Faults injected by the chaos executor.",
