@@ -123,25 +123,12 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		return nil
 	}
 
-	// Retry/redispatch deltas bracket the execution so the collector's
-	// row reports only this campaign's movement even when several
-	// campaigns share one process-wide telemetry.
-	var (
-		runsDone                  *obs.Counter
-		preRunRetries, preShRetry int64
-		preReconn, preStrag       int64
-		preShards                 int
-	)
+	var runsDone *obs.Counter
 	if tel != nil {
 		tel.Campaigns.Inc()
 		tel.Reg.Counter("repro_campaign_runs_total", obs.L("campaign", c.Name())).Add(int64(len(plan)))
 		runsDone = tel.Reg.Counter("repro_campaign_runs_done_total", obs.L("campaign", c.Name()))
 		tel.Progress.StartCampaign(c.Name(), len(plan))
-		preRunRetries = tel.RunRetries.Value()
-		preShRetry = tel.DispatchRetries.Value()
-		preReconn = tel.FleetReconnects.Value()
-		preStrag = tel.FleetStragglers.Value()
-		preShards = tel.ShardWalls.Len()
 
 		inner := fn
 		fn = func(i int) error {
@@ -163,7 +150,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		// pays the context allocation.
 		ctx = obs.WithTrace(ctx, execSpan, trace)
 	}
-	start := time.Now()
+	bracket := StartBracket()
 	// Executors that can source results from worker processes or a
 	// checkpoint journal get the payload path, provided the campaign's
 	// results can cross a process boundary (Wire). Campaigns without a
@@ -200,20 +187,11 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		err = ex.Run(ctx, len(plan), keys, fn)
 	}
 	execSpan.End()
-	if col != nil {
-		ext := Extras{}
-		if p, ok := any(c).(Planned); ok {
-			ext.RunsPlanned = p.PlannedRuns()
-		}
-		if tel != nil {
-			ext.RunRetries = tel.RunRetries.Value() - preRunRetries
-			ext.ShardRetries = tel.DispatchRetries.Value() - preShRetry
-			ext.FleetReconnects = tel.FleetReconnects.Value() - preReconn
-			ext.StragglerRedispatches = tel.FleetStragglers.Value() - preStrag
-			ext.ShardP50Ms, ext.ShardP99Ms = ShardPercentiles(tel.ShardWalls.Since(preShards))
-		}
-		col.ObserveExt(c.Name(), len(plan), time.Since(start), ext)
+	planned := 0
+	if p, ok := any(c).(Planned); ok {
+		planned = p.PlannedRuns()
 	}
+	bracket.Observe(col, c.Name(), len(plan), planned)
 	if err != nil {
 		root.End()
 		// Panics are recovered inside the executor, which cannot know the

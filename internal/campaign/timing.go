@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -120,6 +121,49 @@ func (c *Collector) ObserveExt(campaign string, runs int, wall time.Duration, ex
 	c.mu.Lock()
 	c.rows = append(c.rows, row)
 	c.mu.Unlock()
+}
+
+// Bracket measures one campaign's timing row: the wall time since the
+// bracket opened, and how far the process-wide retry, reconnect,
+// straggler and shard-wall telemetry moved meanwhile, so the row
+// reports only this campaign even when several campaigns share one
+// telemetry.
+type Bracket struct {
+	start              time.Time
+	tel                *obs.Telemetry
+	preRun, preDis     int64
+	preReconn, preStrg int64
+	preShard           int
+}
+
+// StartBracket opens a bracket now.
+func StartBracket() Bracket {
+	b := Bracket{start: time.Now(), tel: obs.Active()}
+	if b.tel != nil {
+		b.preRun = b.tel.RunRetries.Value()
+		b.preDis = b.tel.DispatchRetries.Value()
+		b.preReconn = b.tel.FleetReconnects.Value()
+		b.preStrg = b.tel.FleetStragglers.Value()
+		b.preShard = b.tel.ShardWalls.Len()
+	}
+	return b
+}
+
+// Observe appends the bracketed campaign's row to col (nil: none): runs
+// executed, out of a planned exact grid of planned runs (0: runs).
+func (b *Bracket) Observe(col *Collector, name string, runs, planned int) {
+	if col == nil {
+		return
+	}
+	ext := Extras{RunsPlanned: planned}
+	if b.tel != nil {
+		ext.RunRetries = b.tel.RunRetries.Value() - b.preRun
+		ext.ShardRetries = b.tel.DispatchRetries.Value() - b.preDis
+		ext.FleetReconnects = b.tel.FleetReconnects.Value() - b.preReconn
+		ext.StragglerRedispatches = b.tel.FleetStragglers.Value() - b.preStrg
+		ext.ShardP50Ms, ext.ShardP99Ms = ShardPercentiles(b.tel.ShardWalls.Since(b.preShard))
+	}
+	col.ObserveExt(name, runs, time.Since(b.start), ext)
 }
 
 // Rows returns the collected timing rows in observation order.

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/erm"
 	"repro/internal/fi"
 	"repro/internal/memmap"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/sut"
 )
@@ -164,43 +162,6 @@ func (c *roundCampaign[Run, Result]) Describe(run Run, index int) string {
 	return c.desc(run, index)
 }
 
-// benchBracket aggregates a whole round loop into one BENCH timing row,
-// mirroring the engine's per-campaign telemetry deltas.
-type benchBracket struct {
-	start              time.Time
-	tel                *obs.Telemetry
-	preRun, preDis     int64
-	preReconn, preStrg int64
-	preShard           int
-}
-
-func startBenchBracket() *benchBracket {
-	b := &benchBracket{start: time.Now(), tel: obs.Active()}
-	if b.tel != nil {
-		b.preRun = b.tel.RunRetries.Value()
-		b.preDis = b.tel.DispatchRetries.Value()
-		b.preReconn = b.tel.FleetReconnects.Value()
-		b.preStrg = b.tel.FleetStragglers.Value()
-		b.preShard = b.tel.ShardWalls.Len()
-	}
-	return b
-}
-
-func (b *benchBracket) observe(col *campaign.Collector, name string, executed, planned int) {
-	if col == nil {
-		return
-	}
-	ext := campaign.Extras{RunsPlanned: planned}
-	if b.tel != nil {
-		ext.RunRetries = b.tel.RunRetries.Value() - b.preRun
-		ext.ShardRetries = b.tel.DispatchRetries.Value() - b.preDis
-		ext.FleetReconnects = b.tel.FleetReconnects.Value() - b.preReconn
-		ext.StragglerRedispatches = b.tel.FleetStragglers.Value() - b.preStrg
-		ext.ShardP50Ms, ext.ShardP99Ms = campaign.ShardPercentiles(b.tel.ShardWalls.Since(b.preShard))
-	}
-	col.ObserveExt(name, executed, time.Since(b.start), ext)
-}
-
 // livenessProfile records the def/use trace of one test case's
 // fault-free run against the internal-model injection clock. The
 // profiled rig runs exactly like an injection run of the same case
@@ -298,7 +259,7 @@ func prunedMemJobs(targets []fi.MemTarget, stack bool, profs []*memmap.Liveness)
 // trials keep their exact-plan seeds, so the estimates are prefix
 // averages of the exact campaign's.
 func estimatePermeabilityAdaptive(ctx context.Context, opts Options, perInput int) (*PermeabilityResult, error) {
-	bb := startBenchBracket()
+	bracket := campaign.StartBracket()
 	base, err := newPermeabilityCampaign(ctx, opts, perInput)
 	if err != nil {
 		return nil, err
@@ -384,7 +345,7 @@ func estimatePermeabilityAdaptive(ctx context.Context, opts Options, perInput in
 		return nil, err
 	}
 	res.PlannedRuns = total * len(streams)
-	bb.observe(opts.Timings, base.Name(), len(allJobs), res.PlannedRuns)
+	bracket.Observe(opts.Timings, base.Name(), len(allJobs), res.PlannedRuns)
 	return res, nil
 }
 
@@ -407,7 +368,7 @@ func permStreamConverged(rule stats.StopRule, mod *model.ModuleDecl, active int,
 // lists in rounds, and a region stops once every assertion set's c_tot
 // interval is tight over the weighted trials accumulated so far.
 func internalCoverageAdaptive(ctx context.Context, opts Options, ramLocations, stackLocations int) (*InternalCoverageResult, error) {
-	bb := startBenchBracket()
+	bracket := campaign.StartBracket()
 	base, err := newInternalCoverageCampaign(ctx, opts, ramLocations, stackLocations)
 	if err != nil {
 		return nil, err
@@ -483,7 +444,7 @@ func internalCoverageAdaptive(ctx context.Context, opts Options, ramLocations, s
 
 	res.PlannedRuns = (len(base.ramTargets) + len(base.stackTargets)) * len(opts.Cases)
 	res.ExecutedRuns = executed
-	bb.observe(opts.Timings, base.Name(), executed, res.PlannedRuns)
+	bracket.Observe(opts.Timings, base.Name(), executed, res.PlannedRuns)
 	return res, nil
 }
 

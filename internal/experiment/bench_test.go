@@ -51,6 +51,34 @@ func BenchmarkInjectionRun(b *testing.B) {
 	b.ReportMetric(float64(simMs)/float64(b.N), "sim_ms/op")
 }
 
+// BenchmarkInjectionRunCases walks the runs of a quick (-quick sized)
+// Table 1 campaign in the adaptive plan's case-interleaved order:
+// consecutive runs use different test cases and so different golden
+// checkpoints, plant seeds and flip seeds. It shows the per-run set-up
+// a campaign pays, which BenchmarkInjectionRun's single case hides.
+func BenchmarkInjectionRunCases(b *testing.B) {
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	c, err := newPermeabilityCampaign(context.Background(), opts, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	streams := c.streams()
+	jobs := c.roundJobs(streams, make([]int, len(streams)), make([]bool, len(streams)), c.perCase()*len(opts.Cases))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var simMs int64
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%len(jobs)]
+		_, st, err := permeabilityRun(opts, c.t, c.golds[j.caseIdx], j.mod, j.port, j.sig, j.seq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		simMs += st.simMs
+	}
+	b.ReportMetric(float64(simMs)/float64(b.N), "sim_ms/op")
+}
+
 // BenchmarkGoldenRun pins the cost of one fault-free reference run with
 // the full 14-signal trace attached.
 func BenchmarkGoldenRun(b *testing.B) {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/ea"
@@ -242,7 +241,7 @@ func (r *CoverageRow) accumulate(t sut.Target, active bool, injectedAt int64, de
 // bank deployed and reports when the corruption was observed and which
 // assertions fired, with their first detection times.
 func coverageRun(opts Options, t sut.Target, g *golden, port model.PortRef, sig model.SignalID, index int) (bool, int64, map[string]int64, error) {
-	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "cov", index)))
+	rng := runRand(t.RunSeed(opts.Seed, "cov", index))
 
 	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
 	if err != nil {
@@ -255,11 +254,7 @@ func coverageRun(opts Options, t sut.Target, g *golden, port model.PortRef, sig 
 	}
 	rig.Sched().OnPostSlot(bank.Hook)
 
-	flip := &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, rig.System(), sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
-	}
+	flip := readFlip(rng, rig.System(), port, sig, t.InjectWindow(g.arrestMs))
 	inj := fi.NewInjector(flip)
 	rig.Sched().OnPreSlot(inj.Hook)
 	rig.Bus().OnRead(inj.ReadHook())

@@ -30,7 +30,9 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/dispatch"
+	"repro/internal/fi"
 	"repro/internal/model"
+	"repro/internal/rngpos"
 	"repro/internal/sut"
 	"repro/internal/trace"
 )
@@ -354,11 +356,18 @@ func probePort(t sut.Target) (model.PortRef, *model.Signal, error) {
 	return consumers[0], sig, nil
 }
 
-// pickBit draws a uniformly random bit index for a signal.
-func pickBit(rng *rand.Rand, sys *model.System, sig model.SignalID) uint8 {
+// runRand returns the generator of a run seeded with seed: the stream
+// of rand.NewSource(seed), without math/rand's seeding cost for the
+// few values a run draws (rngpos.Fresh).
+func runRand(seed int64) *rand.Rand { return rand.New(rngpos.NewFresh(seed)) }
+
+// readFlip draws a transient read flip on port from rng: a uniformly
+// random bit of sig, then an injection instant in [0, window).
+func readFlip(rng *rand.Rand, sys *model.System, port model.PortRef, sig model.SignalID, window int64) *fi.ReadFlip {
 	s, ok := sys.Signal(sig)
 	if !ok {
 		panic(fmt.Sprintf("experiment: unknown signal %q", sig))
 	}
-	return uint8(rng.Intn(int(s.Type.Width)))
+	bit := uint8(rng.Intn(int(s.Type.Width)))
+	return &fi.ReadFlip{Port: port, Bit: bit, FromMs: rng.Int63n(window)}
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/ea"
@@ -107,12 +106,8 @@ func (c *integrationCampaign) Execute(_ context.Context, j integJob, _ int) (int
 
 	active := true
 	if !j.golden {
-		rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "integ", j.caseIdx*1_000_000+j.k)))
-		flip := &fi.ReadFlip{
-			Port:   c.port,
-			Bit:    uint8(rng.Intn(int(c.sig.Type.Width))),
-			FromMs: rng.Int63n(c.t.InjectWindow(g.arrestMs)),
-		}
+		rng := runRand(c.t.RunSeed(c.opts.Seed, "integ", j.caseIdx*1_000_000+j.k))
+		flip := readFlip(rng, rig.System(), c.port, c.sig.ID, c.t.InjectWindow(g.arrestMs))
 		inj := fi.NewInjector(flip)
 		rig.Sched().OnPreSlot(inj.Hook)
 		rig.Bus().OnRead(inj.ReadHook())

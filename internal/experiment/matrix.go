@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/fi"
@@ -114,7 +113,7 @@ func (c *matrixCampaign) Execute(_ context.Context, j matrixJob, index int) (mat
 	t := c.targets[j.tIdx]
 	topts := c.topts[j.tIdx]
 	g := c.golds[j.tIdx][j.caseIdx]
-	rng := rand.New(rand.NewSource(t.RunSeed(topts.Seed, "matrix", index)))
+	rng := runRand(t.RunSeed(topts.Seed, "matrix", index))
 
 	rig, err := t.Acquire(g.tc, t.CaseSeed(topts.Seed, g.tc), sut.Variant{})
 	if err != nil {
@@ -131,11 +130,7 @@ func (c *matrixCampaign) Execute(_ context.Context, j matrixJob, index int) (mat
 	var applied func() (int, int64)
 	switch c.models[j.mIdx] {
 	case MatrixTransient:
-		flip := &fi.ReadFlip{
-			Port:   c.ports[j.tIdx],
-			Bit:    pickBit(rng, rig.System(), c.sigs[j.tIdx].ID),
-			FromMs: rng.Int63n(window),
-		}
+		flip := readFlip(rng, rig.System(), c.ports[j.tIdx], c.sigs[j.tIdx].ID, window)
 		inj := fi.NewInjector(flip)
 		rig.Sched().OnPreSlot(inj.Hook)
 		rig.Bus().OnRead(inj.ReadHook())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 
@@ -361,12 +360,8 @@ func permWatch(mod *model.ModuleDecl, sig model.SignalID) (outputs, cutoffs []mo
 // permFlip draws run index's flip — bit and injection instant — from
 // the run's seed.
 func permFlip(opts Options, t sut.Target, g *golden, sys *model.System, port model.PortRef, sig model.SignalID, index int) *fi.ReadFlip {
-	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
-	return &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, sys, sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
-	}
+	rng := runRand(t.RunSeed(opts.Seed, "perm", index))
+	return readFlip(rng, sys, port, sig, t.InjectWindow(g.arrestMs))
 }
 
 // watched is one signal compared online against its golden column.

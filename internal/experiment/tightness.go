@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/ea"
@@ -111,12 +110,8 @@ func (c *tightnessCampaign) Execute(_ context.Context, j tightJob, _ int) (tight
 		// the case and iteration only, so every budget is evaluated
 		// against the same error set and coverage is exactly monotone
 		// in the budget.
-		rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "tight", j.caseIdx*1_000_000+j.k)))
-		flip := &fi.ReadFlip{
-			Port:   c.port,
-			Bit:    uint8(rng.Intn(int(c.sig.Type.Width))),
-			FromMs: rng.Int63n(c.t.InjectWindow(g.arrestMs)),
-		}
+		rng := runRand(c.t.RunSeed(c.opts.Seed, "tight", j.caseIdx*1_000_000+j.k))
+		flip := readFlip(rng, rig.System(), c.port, c.sig.ID, c.t.InjectWindow(g.arrestMs))
 		inj := fi.NewInjector(flip)
 		rig.Sched().OnPreSlot(inj.Hook)
 		rig.Bus().OnRead(inj.ReadHook())

@@ -5,8 +5,15 @@
 // generator with a differently constructed one would change the noise
 // sequence a run observes. Source instead wraps the standard seeded
 // source and counts the values drawn from it since the last Seed. A
-// position is (seed, draws); restoring it reseeds and replays that many
-// draws, which reproduces the generator's internal state exactly.
+// position is (seed, draws).
+//
+// From the first Mark on, a source records every raw value it draws on
+// a tape, and each Mark references that tape. Restoring a mark reads
+// the recorded values back, so it costs neither a reseed nor a replay.
+// Only a position the tape does not reach — a bare Pos, or a restored
+// source that draws past the end of the record — reseeds the generator
+// and replays that many draws, which reproduces its internal state
+// exactly.
 //
 // Draws are counted at the source, not per caller operation: rand.Intn
 // rejects and redraws on a small fraction of values, and Float64
@@ -23,75 +30,142 @@ type Pos struct {
 	Draws uint64
 }
 
+// Mark is a position plus the tape that recorded the draws after it.
+// Marks compare by position in InState-style checks; the tape only makes
+// restoring cheap. A Mark built from a bare Pos restores by replay.
+type Mark struct {
+	Pos
+	tape *tape
+}
+
+// tapeChunk is the number of recorded values per tape chunk. Chunks
+// keep a growing tape from copying itself or holding spare capacity.
+const tapeChunk = 512
+
+// tape is the record of a source's raw draws from draw start on. It is
+// written only by the recording source and read by restores once the
+// recording has ended (the source that recorded it was reseeded or
+// restored); a tape is never changed after that.
+type tape struct {
+	start  uint64
+	n      uint64 // values recorded
+	chunks [][]uint64
+}
+
+func (t *tape) put(v uint64) {
+	if t.n%tapeChunk == 0 {
+		t.chunks = append(t.chunks, make([]uint64, 0, tapeChunk))
+	}
+	c := &t.chunks[len(t.chunks)-1]
+	*c = append(*c, v)
+	t.n++
+}
+
+// get returns the value of draw number d+1 (d draws made before it), if
+// recorded.
+func (t *tape) get(d uint64) (uint64, bool) {
+	i := d - t.start
+	if d < t.start || i >= t.n {
+		return 0, false
+	}
+	return t.chunks[i/tapeChunk][i%tapeChunk], true
+}
+
 // Source is a counting math/rand.Source64. Build a *rand.Rand over it
 // with rand.New. It is not safe for concurrent use.
 //
-// Seeding is lazy: Seed only records the seed, and the underlying
-// generator is reseeded at the next draw. SetPos draws forward from
-// the generator's actual position whenever that lies behind the target
-// on the same seed, so a reset followed by a restore costs no reseed
-// when the generator already ran that seed.
+// The underlying generator is created and seeded lazily: it follows the
+// logical position only when a value has to be drawn live. A seed or a
+// restore records the target position, and the next live draw brings
+// the generator there, drawing forward when it already lies behind the
+// target on the same seed.
 type Source struct {
-	src     rand.Source64
-	at      Pos   // the underlying generator's actual position
-	pending bool  // Seed was called and not yet applied
-	seed    int64 // the pending seed
+	src  rand.Source64 // nil until the first live draw
+	gen  Pos           // src's actual position
+	at   Pos           // the logical position
+	tape *tape         // being played back, or recorded when rec
+	rec  bool
 }
 
 // New returns a source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{src: rand.NewSource(seed).(rand.Source64), at: Pos{Seed: seed}}
+	return &Source{at: Pos{Seed: seed}}
 }
 
-// Seed reseeds the source and resets its draw count.
+// Seed reseeds the source, resets its draw count and ends any recording
+// or playback.
 func (s *Source) Seed(seed int64) {
-	s.pending, s.seed = true, seed
+	s.at = Pos{Seed: seed}
+	s.tape, s.rec = nil, false
 }
 
-// reseed applies a seed to the underlying generator.
-func (s *Source) reseed(seed int64) {
-	s.src.Seed(seed)
-	s.at = Pos{Seed: seed}
-	s.pending = false
+// next draws one raw value: from the tape while a restored position
+// lies inside it, otherwise from the generator.
+func (s *Source) next() uint64 {
+	if s.tape != nil && !s.rec {
+		if v, ok := s.tape.get(s.at.Draws); ok {
+			s.at.Draws++
+			return v
+		}
+		s.tape = nil // past the end of the record
+	}
+	if s.gen != s.at {
+		s.catchUp()
+	}
+	v := s.src.Uint64()
+	s.at.Draws++
+	s.gen = s.at
+	if s.rec {
+		s.tape.put(v)
+	}
+	return v
+}
+
+// catchUp moves the generator to the logical position: it reseeds
+// unless the generator is behind the target on the same seed, then
+// replays the missing draws.
+func (s *Source) catchUp() {
+	switch {
+	case s.src == nil:
+		s.src = rand.NewSource(s.at.Seed).(rand.Source64)
+		s.gen = Pos{Seed: s.at.Seed}
+	case s.gen.Seed != s.at.Seed || s.gen.Draws > s.at.Draws:
+		s.src.Seed(s.at.Seed)
+		s.gen = Pos{Seed: s.at.Seed}
+	}
+	for s.gen.Draws < s.at.Draws {
+		s.src.Uint64()
+		s.gen.Draws++
+	}
 }
 
 // Int63 draws one value.
 func (s *Source) Int63() int64 {
-	if s.pending {
-		s.reseed(s.seed)
-	}
-	s.at.Draws++
-	return s.src.Int63()
+	// math/rand's generator masks its 64-bit output the same way.
+	return int64(s.next() & (1<<63 - 1))
 }
 
-// Uint64 draws one value. It advances the underlying generator by the
-// same single step as Int63.
-func (s *Source) Uint64() uint64 {
-	if s.pending {
-		s.reseed(s.seed)
-	}
-	s.at.Draws++
-	return s.src.Uint64()
-}
+// Uint64 draws one value. It advances the generator by the same single
+// step as Int63.
+func (s *Source) Uint64() uint64 { return s.next() }
 
 // Pos returns the current position.
-func (s *Source) Pos() Pos {
-	if s.pending {
-		return Pos{Seed: s.seed}
+func (s *Source) Pos() Pos { return s.at }
+
+// Mark returns the current position with the tape that restores it. A
+// source that is neither recording nor playing back starts recording
+// here, so a source that is never marked records nothing.
+func (s *Source) Mark() Mark {
+	if s.tape == nil {
+		s.tape, s.rec = &tape{start: s.at.Draws}, true
 	}
-	return s.at
+	return Mark{Pos: s.at, tape: s.tape}
 }
 
-// SetPos moves the source to p. A position ahead of the generator's
-// actual one on the same seed is reached by drawing forward; anything
-// else reseeds first and replays from the start.
-func (s *Source) SetPos(p Pos) {
-	if p.Seed != s.at.Seed || p.Draws < s.at.Draws {
-		s.reseed(p.Seed)
-	}
-	s.pending = false
-	for s.at.Draws < p.Draws {
-		s.src.Int63()
-		s.at.Draws++
-	}
+// Restore moves the source to m and ends any recording. Draws inside
+// m's tape are read from it; a draw past its end, or any draw after
+// restoring a mark without a tape, reseeds and replays the generator.
+func (s *Source) Restore(m Mark) {
+	s.at = m.Pos
+	s.tape, s.rec = m.tape, false
 }

@@ -38,9 +38,9 @@ func TestSetPosReplaysExactly(t *testing.T) {
 	} {
 		s := New(42)
 		tc.setup(s)
-		s.SetPos(mark)
+		s.Restore(Mark{Pos: mark})
 		if s.Pos() != mark {
-			t.Fatalf("%s: position %+v after SetPos(%+v)", tc.name, s.Pos(), mark)
+			t.Fatalf("%s: position %+v after Restore(%+v)", tc.name, s.Pos(), mark)
 		}
 		rr := rand.New(s)
 		for i, w := range want {
@@ -68,7 +68,7 @@ func TestCountsRejectedDraws(t *testing.T) {
 }
 
 // TestLazySeed checks that a pending reseed is honoured by the next
-// draw and by Pos, and that SetPos after Seed restores the target
+// draw and by Pos, and that Restore after Seed restores the target
 // position exactly whether the generator ran ahead or behind.
 func TestLazySeed(t *testing.T) {
 	ref := rand.New(rand.NewSource(9))
@@ -99,9 +99,87 @@ func TestLazySeed(t *testing.T) {
 			s.Int63()
 		}
 		s.Seed(9)
-		s.SetPos(mark)
+		s.Restore(Mark{Pos: mark})
 		if got := s.Int63(); got != next {
-			t.Fatalf("after %d draws, Seed and SetPos: draw = %d, want %d", drawn, got, next)
+			t.Fatalf("after %d draws, Seed and Restore: draw = %d, want %d", drawn, got, next)
 		}
+	}
+}
+
+// TestMarkRestoresFromTape checks the recorded path: marks taken on a
+// recording source restore into another source by reading the tape —
+// no generator is ever built while the restored source stays inside
+// the record — and a restored source that draws past the end of the
+// record falls back to reseed and replay without a seam in the stream.
+func TestMarkRestoresFromTape(t *testing.T) {
+	ref := rand.NewSource(5).(rand.Source64)
+	stream := make([]uint64, 3000)
+	for i := range stream {
+		stream[i] = ref.Uint64()
+	}
+
+	rec := New(5)
+	for i := 0; i < 100; i++ {
+		rec.Int63()
+	}
+	first := rec.Mark() // recording starts at draw 100
+	for i := 0; i < 900; i++ {
+		rec.Uint64()
+	}
+	mid := rec.Mark() // same tape, draw 1000
+	for i := 0; i < 1000; i++ {
+		rec.Uint64()
+	}
+	end := rec.Mark() // draw 2000, the end of the record
+	rec.Seed(5)       // ends the recording
+	if first.tape != mid.tape || mid.tape != end.tape || end.tape.n != 1900 {
+		t.Fatalf("marks do not share one 1900-value tape")
+	}
+
+	for _, m := range []Mark{first, mid, end} {
+		s := New(99)
+		s.Restore(m)
+		if s.Pos() != m.Pos {
+			t.Fatalf("position %+v after Restore(%+v)", s.Pos(), m.Pos)
+		}
+		for d := m.Draws; d < uint64(len(stream)); d++ {
+			if d == 2000 && s.src != nil {
+				t.Fatalf("restore to draw %d built a generator inside the record", m.Draws)
+			}
+			if got := s.Uint64(); got != stream[d] {
+				t.Fatalf("restored to draw %d: draw %d = %#x, want %#x", m.Draws, d, got, stream[d])
+			}
+		}
+		if s.src == nil || s.tape != nil {
+			t.Fatalf("restored to draw %d: drawing past the record did not fall back to the generator", m.Draws)
+		}
+	}
+
+	// A restored source that is marked again hands out the tape it
+	// plays; once past the record it starts a recording of its own.
+	s := New(5)
+	s.Restore(mid)
+	if m := s.Mark(); m.tape != mid.tape || s.rec {
+		t.Fatal("mark during playback did not reuse the played tape")
+	}
+	for s.Pos().Draws < 2100 {
+		s.Int63()
+	}
+	if m := s.Mark(); m.tape == mid.tape || !s.rec || m.tape.start != 2100 {
+		t.Fatal("mark past the record did not start a new recording")
+	}
+}
+
+// TestSourceNeverMarkedRecordsNothing checks that recording is opt-in:
+// a source that is only drawn from and reseeded keeps no tape.
+func TestSourceNeverMarkedRecordsNothing(t *testing.T) {
+	s := New(3)
+	for i := 0; i < 10_000; i++ {
+		s.Int63()
+	}
+	s.Seed(4)
+	s.Uint64()
+	if s.tape != nil || s.rec {
+		t.Fatal("unmarked source recorded its draws")
 	}
 }

@@ -12,7 +12,14 @@ import (
 // and the target's environment — the plant with its noise generator's
 // position, or a generic target's stimulus. Installed hooks are not
 // state. A checkpoint is immutable once taken and may be restored into
-// any number of rigs.
+// any number of rigs of its case.
+//
+// A plant checkpoint also references the noise generator's record of
+// its draws, which the first checkpoint of a run starts (see
+// rngpos.Source.Mark); a restore reads the draws from it instead of
+// replaying the generator. The record grows while its run goes on, so
+// restoring a checkpoint concurrently with that run is a data race;
+// forks of a golden run restore only after it ended.
 type Checkpoint struct {
 	sched sched.State
 	bus   []model.Word

@@ -140,3 +140,87 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 		t.Error("tank rig matches an arrestment checkpoint")
 	}
 }
+
+// TestCheckpointNoiseTape checks restores against the plant noise
+// generator's record, which starts at a rig's first checkpoint and ends
+// where the rig stops drawing: a checkpoint inside the record restored
+// into a rig that then runs past the record's end, and the checkpoint
+// at the record's end, whose first draw falls back to reseed and
+// replay. Each restore goes into a rig of the checkpoint's case that
+// the pool handed out after a run of another case. Both must continue
+// the uninterrupted run bit for bit.
+func TestCheckpointNoiseTape(t *testing.T) {
+	for _, tc := range []struct {
+		target               string
+		seed                 int64
+		midMs, endMs, beyond int64
+	}{
+		{"arrestment", 1009, 2_000, 4_000, 1_500},
+		{"tank", tankRejectionSeed, 500, 1_500, 1_000},
+	} {
+		t.Run(tc.target, func(t *testing.T) {
+			tgt, err := Lookup(tc.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := tgt.DefaultCases()[0]
+
+			// The uninterrupted run, never checkpointed before its end.
+			plain, err := tgt.Acquire(c, tc.seed, Variant{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := recordBus(t, plain, tc.endMs+tc.beyond)
+			final := plain.Checkpoint()
+			tgt.Release(plain)
+
+			// The recording run: power-on to endMs.
+			rec, err := tgt.Acquire(c, tc.seed, Variant{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Checkpoint()
+			if err := rec.RunFor(tc.midMs); err != nil {
+				t.Fatal(err)
+			}
+			mid := rec.Checkpoint()
+			if err := rec.RunFor(tc.endMs - tc.midMs); err != nil {
+				t.Fatal(err)
+			}
+			end := rec.Checkpoint()
+			tgt.Release(rec)
+
+			for _, fork := range []struct {
+				name string
+				cp   *Checkpoint
+			}{{"inside the record", mid}, {"at the end of the record", end}} {
+				other, err := tgt.Acquire(tgt.DefaultCases()[len(tgt.DefaultCases())-1], tc.seed+1, Variant{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := other.RunFor(tc.midMs / 2); err != nil {
+					t.Fatal(err)
+				}
+				tgt.Release(other)
+				rig, err := tgt.Acquire(c, tc.seed, Variant{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rig.Restore(fork.cp); err != nil {
+					t.Fatal(err)
+				}
+				from := fork.cp.NowMs()
+				got := recordBus(t, rig, tc.endMs+tc.beyond-from)
+				for i := range got {
+					if !slices.Equal(got[i], want[from+int64(i)]) {
+						t.Fatalf("restored %s: bus differs at %d ms: %v, want %v", fork.name, from+int64(i)+1, got[i], want[from+int64(i)])
+					}
+				}
+				if !rig.AtCheckpoint(final) {
+					t.Errorf("restored %s: run state differs %d ms past the record", fork.name, tc.beyond)
+				}
+				tgt.Release(rig)
+			}
+		})
+	}
+}

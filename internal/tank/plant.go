@@ -114,35 +114,38 @@ func NewPlant(p PlantParams) *Plant {
 func (pl *Plant) Params() PlantParams { return pl.p }
 
 // State is a captured plant: every simulation variable plus the
-// noise generator's position. States compare with ==.
+// noise generator's position, with the generator's record of the draws
+// after it. Plants compare to a state with InState, by variables and
+// position only.
 type State struct {
 	plant Plant // generator fields nil
-	rng   rngpos.Pos
+	rng   rngpos.Mark
 }
 
 // Draws is the number of noise-generator draws the captured plant had
 // made since seeding.
 func (s State) Draws() uint64 { return s.rng.Draws }
 
-// State captures the plant.
+// State captures the plant. The first capture starts the generator's
+// record of its draws (see rngpos.Source.Mark).
 func (pl *Plant) State() State {
-	st := State{plant: *pl, rng: pl.src.Pos()}
+	st := State{plant: *pl, rng: pl.src.Mark()}
 	st.plant.src, st.plant.rng = nil, nil
 	return st
 }
 
-// SetState puts the plant into a captured state, replaying the noise
-// generator to the captured position.
+// SetState puts the plant into a captured state. The noise generator
+// continues from the captured position (see rngpos.Source.Restore).
 func (pl *Plant) SetState(st State) {
 	src, rng := pl.src, pl.rng
 	*pl = st.plant
 	pl.src, pl.rng = src, rng
-	src.SetPos(st.rng)
+	src.Restore(st.rng)
 }
 
 // InState reports whether the plant is exactly in the captured state.
 func (pl *Plant) InState(st State) bool {
-	if pl.src.Pos() != st.rng {
+	if pl.src.Pos() != st.rng.Pos {
 		return false
 	}
 	cur := *pl
